@@ -16,7 +16,7 @@
 //! 3. **Optimizer gates** — per tile class, the optimized plan must (a)
 //!    schedule strictly fewer steps, (b) never cost more `sc_hwcost` units
 //!    under per-step pricing, (c) cost strictly less under shared-source
-//!    pricing (the hardware the executor's source cache actually builds),
+//!    pricing (one physical generator per distinct source spec),
 //!    and (d) execute bit-identically to the baseline.
 
 use sc_bench::host_context;

@@ -252,9 +252,9 @@ pub fn compiled_netlist(plan: &CompiledGraph, name: &str, converter_bits: u32) -
 
 /// [`compiled_netlist`] under the executor's source-sharing model: every
 /// step's logic is priced in full, but each distinct [`SourceSpec`] is priced
-/// **once** — exactly one physical sample generator per spec, which is how
-/// the executor's `SourceCache` (and the shared-RNG hardware of §II.B)
-/// actually instantiates them. This is the honest cost view for CSE'd plans,
+/// **once** — exactly one physical sample generator per spec, which is the
+/// shared-RNG hardware of §II.B (and why the executor can draw each spec's
+/// samples once per job and share them). This is the honest cost view for CSE'd plans,
 /// where merged subgraphs deliberately lean on repeated specs.
 #[must_use]
 pub fn compiled_netlist_shared(plan: &CompiledGraph, name: &str, converter_bits: u32) -> Netlist {

@@ -2,15 +2,13 @@
 //! independent input sets, optionally sharded across a persistent worker pool.
 
 use crate::compile::{CompiledGraph, Step};
+use crate::draw::SampleMemo;
 use crate::graph::GraphError;
 use crate::node::BinaryOp;
-use sc_arith::add::{half_select_stream, mux_add};
+use sc_arith::add::mux_add;
 use sc_bitstream::{scc, Bitstream, Probability};
-use sc_convert::{
-    AccumulativeParallelCounter, DigitalToStochastic, Regenerator, StochasticToDigital,
-};
+use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
 use sc_core::{process_lane_pairs, CorrelationManipulator, LaneChain, ManipulatorChain, LANES};
-use sc_rng::{RandomSource, RngKind, SourceSpec};
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -81,65 +79,6 @@ impl ExecOutput {
     /// Iterates over `(name, value)` sink results in name order.
     pub fn values(&self) -> impl Iterator<Item = (&str, f64)> {
         self.values.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-}
-
-/// Per-execution cache of live source instances, so plan steps that draw from
-/// one *logically shared* hardware source (equal [`SourceSpec`], consecutive
-/// `skip` ranges) continue a single instance instead of each rebuilding a
-/// fresh source and sample-stepping to its position. For the tiled `sc_image`
-/// pipeline this turns the per-tile select-sample cost from quadratic in
-/// kernels (re-skipping `k·N` samples for kernel `k`) to linear, and the
-/// LFSR's companion-matrix [`sc_rng::RandomSource::skip_ahead`] makes the
-/// remaining cold positioning logarithmic.
-///
-/// Correctness: sources are deterministic, so continuing one instance from
-/// position `p` is bit-identical to `spec.build_skipped(p)`; any consumer
-/// whose requested position does not match the cached position gets a freshly
-/// positioned instance.
-#[derive(Default)]
-struct SourceCache {
-    entries: HashMap<SourceSpec, (Box<dyn RandomSource>, u64)>,
-}
-
-impl SourceCache {
-    /// Returns a source positioned `skip` samples into the spec's sequence
-    /// and records that the caller is about to draw `samples` more.
-    fn source(&mut self, spec: &SourceSpec, skip: u64, samples: u64) -> &mut dyn RandomSource {
-        let entry = self
-            .entries
-            .entry(spec.clone())
-            .and_modify(|(source, position)| {
-                if *position != skip {
-                    *source = spec.build_skipped(skip);
-                    *position = skip;
-                }
-            })
-            .or_insert_with(|| (spec.build_skipped(skip), skip));
-        entry.1 += samples;
-        entry.0.as_mut()
-    }
-}
-
-/// Adapter lending a cached source to the by-value converter constructors
-/// without giving up ownership.
-struct BorrowedSource<'a>(&'a mut dyn RandomSource);
-
-impl RandomSource for BorrowedSource<'_> {
-    fn next_unit(&mut self) -> f64 {
-        self.0.next_unit()
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-
-    fn kind(&self) -> RngKind {
-        self.0.kind()
-    }
-
-    fn skip_ahead(&mut self, count: u64) {
-        self.0.skip_ahead(count);
     }
 }
 
@@ -490,16 +429,17 @@ impl Executor {
     /// the plan requires, and [`GraphError::Stream`] if input streams have
     /// mismatched lengths.
     pub fn run(&self, plan: &CompiledGraph, input: &BatchInput) -> Result<ExecOutput, GraphError> {
-        execute_plan(self.stream_length, plan, input)
+        let mut memo = SampleMemo::default();
+        let result = execute_plan(self.stream_length, plan, input, &mut memo);
+        memo.flush(&self.telemetry);
+        result
     }
 }
 
 /// Per-job execution state threaded through [`execute_step`]: the dense
-/// stream-slot environment, the shared-source cache, and the sink results
-/// accumulated so far.
+/// stream-slot environment and the sink results accumulated so far.
 struct ExecEnv {
     slots: Vec<Option<Bitstream>>,
-    sources: SourceCache,
     out: ExecOutput,
 }
 
@@ -507,7 +447,6 @@ impl ExecEnv {
     fn new(slot_count: usize) -> Self {
         ExecEnv {
             slots: vec![None; slot_count],
-            sources: SourceCache::default(),
             out: ExecOutput::default(),
         }
     }
@@ -527,36 +466,36 @@ fn execute_plan(
     n: usize,
     plan: &CompiledGraph,
     input: &BatchInput,
+    memo: &mut SampleMemo,
 ) -> Result<ExecOutput, GraphError> {
     let mut env = ExecEnv::new(plan.slot_count);
     for step in &plan.steps {
-        execute_step(n, step, input, &mut env)?;
+        execute_step(n, step, input, &mut env, memo)?;
     }
     Ok(env.out)
 }
 
 /// Executes one plan step against one job's environment — the scalar
 /// single-lane unit both [`execute_plan`] and the lockstep group engine
-/// ([`execute_plan_group`]) are built from.
+/// ([`execute_plan_group`]) are built from. Every random sample comes from
+/// `memo`, and every D/S conversion or MUX select is built a word at a time
+/// by comparing against those samples.
 fn execute_step(
     n: usize,
     step: &Step,
     input: &BatchInput,
     env: &mut ExecEnv,
+    memo: &mut SampleMemo,
 ) -> Result<(), GraphError> {
     // A fused span executes its sub-steps back to back over the same slot
     // environment — bit-identical to the unfused schedule by construction.
     if let Step::Fused { steps } = step {
         for sub in steps {
-            execute_step(n, sub, input, env)?;
+            execute_step(n, sub, input, env, memo)?;
         }
         return Ok(());
     }
-    let ExecEnv {
-        slots,
-        sources,
-        out,
-    } = env;
+    let ExecEnv { slots, out } = env;
     {
         match step {
             Step::Input { slot, dst } => {
@@ -582,10 +521,8 @@ fn execute_step(
                         slot: *slot,
                         provided: input.values.len(),
                     })?;
-                let mut d2s = DigitalToStochastic::new(BorrowedSource(
-                    sources.source(source, *skip, n as u64),
-                ));
-                slots[*dst] = Some(d2s.generate(Probability::saturating(value), n));
+                let target = Probability::saturating(value).get();
+                slots[*dst] = Some(memo.window(source, *skip, n).below(target));
             }
             Step::Constant {
                 probability,
@@ -593,10 +530,8 @@ fn execute_step(
                 skip,
                 dst,
             } => {
-                let mut d2s = DigitalToStochastic::new(BorrowedSource(
-                    sources.source(source, *skip, n as u64),
-                ));
-                slots[*dst] = Some(d2s.generate(Probability::saturating(*probability), n));
+                let target = Probability::saturating(*probability).get();
+                slots[*dst] = Some(memo.window(source, *skip, n).below(target));
             }
             Step::Manipulate {
                 kinds,
@@ -626,9 +561,17 @@ fn execute_step(
                 src,
                 dst,
             } => {
-                let mut regen =
-                    Regenerator::new(BorrowedSource(sources.source(source, *skip, n as u64)));
-                let regenerated = regen.regenerate(slot(slots, *src));
+                // S/D then D/S: re-encode the count over fresh samples. An
+                // empty stream draws nothing.
+                let stream = slot(slots, *src);
+                let len = stream.len();
+                let regenerated = if len == 0 {
+                    Bitstream::new()
+                } else {
+                    let count = StochasticToDigital::convert_to_count(stream);
+                    let target = Probability::from_ratio(count, len as u64).get();
+                    memo.window(source, *skip, len).below(target)
+                };
                 slots[*dst] = Some(regenerated);
             }
             Step::Not { src, dst } => {
@@ -658,8 +601,10 @@ fn execute_step(
                 y,
                 dst,
             } => {
+                // The divider's comparisons depend on its own feedback state,
+                // so it steps a positioned source of its own.
                 let mut divider = sc_arith::divide::Divider::with_counter_bits(
-                    BorrowedSource(sources.source(source, *skip, n as u64)),
+                    source.build_skipped(*skip),
                     *counter_bits,
                 );
                 let z = divider.divide(slot(slots, *x), slot(slots, *y))?;
@@ -674,10 +619,9 @@ fn execute_step(
             } => {
                 let z = {
                     let (sx, sy) = (slot(slots, *x), slot(slots, *y));
-                    let sel = half_select_stream(
-                        &mut BorrowedSource(sources.source(select, *skip, sx.len() as u64)),
-                        sx.len(),
-                    );
+                    let sel = memo
+                        .window(select, *skip, sx.len())
+                        .below(Probability::HALF.get());
                     mux_add(sx, sy, &sel)?
                 };
                 slots[*dst] = Some(z);
@@ -691,8 +635,15 @@ fn execute_step(
             } => {
                 let z = {
                     let refs: Vec<&Bitstream> = srcs.iter().map(|s| slot(slots, *s)).collect();
-                    let samples = refs.first().map_or(0, |s| s.len()) as u64;
-                    weighted_mux(&refs, weights, sources.source(select, *skip, samples))?
+                    let len = refs[0].len();
+                    if let Some(s) = refs.iter().find(|s| s.len() != len) {
+                        return Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
+                            left: len,
+                            right: s.len(),
+                        }));
+                    }
+                    let thresholds = memo.thresholds(weights);
+                    memo.window(select, *skip, len).gather(&refs, &thresholds)
                 };
                 slots[*dst] = Some(z);
             }
@@ -792,6 +743,8 @@ pub(crate) fn execute_plan_group(
         .map(|job| ExecEnv::new(job.plan.slot_count))
         .collect();
     let mut errs: Vec<Option<GraphError>> = (0..group.len()).map(|_| None).collect();
+    // One memo for the whole group: same-class tiles share most sources.
+    let mut memo = SampleMemo::default();
     for i in 0..group[0].plan.steps.len() {
         let alive: Vec<usize> = (0..group.len()).filter(|&l| errs[l].is_none()).collect();
         if alive.is_empty() {
@@ -874,7 +827,9 @@ pub(crate) fn execute_plan_group(
             _ => {
                 for &l in &alive {
                     let job = &group[l];
-                    if let Err(e) = execute_step(n, &job.plan.steps[i], &job.input, &mut envs[l]) {
+                    if let Err(e) =
+                        execute_step(n, &job.plan.steps[i], &job.input, &mut envs[l], &mut memo)
+                    {
                         errs[l] = Some(e);
                     }
                 }
@@ -891,6 +846,7 @@ pub(crate) fn execute_plan_group(
             })
             .collect()
     };
+    memo.flush(telemetry);
     let dur_ns = span.finish();
     if telemetry.is_enabled() {
         let class = group[0].plan.plan_class();
@@ -911,7 +867,9 @@ pub(crate) fn execute_job_scalar(
     telemetry: &TelemetrySink,
 ) -> Result<ExecOutput, GraphError> {
     let span = telemetry.span(Stage::ScalarExecute);
-    let result = execute_plan(n, &job.plan, &job.input);
+    let mut memo = SampleMemo::default();
+    let result = execute_plan(n, &job.plan, &job.input, &mut memo);
+    memo.flush(telemetry);
     let dur_ns = span.finish();
     if telemetry.is_enabled() {
         telemetry.observe(Hist::JobLatencyNs, dur_ns);
@@ -1445,55 +1403,13 @@ fn apply_binary(
     Ok(z)
 }
 
-/// The weighted multiplexer tree: each cycle one input is sampled with
-/// probability equal to its weight (cumulative walk over `weights`; leftover
-/// mass falls to the last input). The selection sequence is data-independent,
-/// so the gather runs word-parallel: per 64 cycles one selection mask is
-/// built per input and the output word is one AND-OR per input over the
-/// packed words — the generalisation of the `sc_image` Gaussian-blur kernel.
-fn weighted_mux(
-    inputs: &[&Bitstream],
-    weights: &[f64],
-    source: &mut dyn RandomSource,
-) -> Result<Bitstream, GraphError> {
-    let n = inputs[0].len();
-    for s in inputs {
-        if s.len() != n {
-            return Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
-                left: n,
-                right: s.len(),
-            }));
-        }
-    }
-    let mut masks = vec![0u64; weights.len()];
-    Ok(Bitstream::from_word_fn(n, |w| {
-        let valid = inputs[0].word_len(w);
-        masks.iter_mut().for_each(|m| *m = 0);
-        for i in 0..valid {
-            let mut u = source.next_unit();
-            let mut selected = weights.len() - 1;
-            for (idx, weight) in weights.iter().enumerate() {
-                if u < *weight {
-                    selected = idx;
-                    break;
-                }
-                u -= weight;
-            }
-            masks[selected] |= 1u64 << i;
-        }
-        masks.iter().enumerate().fold(0u64, |out, (k, &mask)| {
-            out | (inputs[k].as_words()[w] & mask)
-        })
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::{BinaryOp, ManipulatorKind};
     use crate::{Graph, PlannerOptions};
     use proptest::prelude::*;
-    use sc_rng::SourceSpec;
+    use sc_rng::{RandomSource, SourceSpec};
 
     fn sobol(d: u32) -> SourceSpec {
         SourceSpec::Sobol { dimension: d }
@@ -1680,11 +1596,185 @@ mod tests {
         assert!(plan.report().inserted[0].contains("divide"));
     }
 
+    /// The sequential weighted-MUX select walk (the bit-serial semantics the
+    /// executor's threshold masks replace).
+    fn walk(weights: &[f64], mut u: f64) -> usize {
+        for (idx, &w) in weights.iter().enumerate() {
+            if u < w {
+                return idx;
+            }
+            u -= w;
+        }
+        weights.len() - 1
+    }
+
     #[test]
-    fn shared_source_cache_matches_per_step_positioning() {
+    fn sample_drawing_steps_match_bit_serial_references() {
+        // Every step that draws samples, executed through a compiled plan,
+        // against the retained per-sample references: D/S conversion,
+        // regeneration, the MUX adder's half-select stream, the divider and
+        // the weighted select walk — for table-backed and filled sources.
+        use sc_arith::add::{half_select_stream, mux_add};
+        use sc_arith::divide::Divider;
+        use sc_convert::{DigitalToStochastic, Regenerator};
+        let specs = [
+            SourceSpec::Lfsr {
+                width: 16,
+                seed: 0xACE1,
+            },
+            SourceSpec::Lfsr { width: 5, seed: 9 },
+            SourceSpec::Lfsr {
+                width: 20,
+                seed: 0x5_4321,
+            },
+            sobol(3),
+            SourceSpec::VanDerCorput { offset: 5 },
+            SourceSpec::Halton { base: 5, offset: 0 },
+            SourceSpec::Counter {
+                modulus: 100,
+                phase: 7,
+            },
+        ];
+        let weights = [0.1, 0.3, 0.0, 0.35, 0.25];
+        for n in [1usize, 63, 64, 65, 1000] {
+            let streams: Vec<Bitstream> = (0..weights.len())
+                .map(|k| Bitstream::from_fn(n, move |i| (i * (k + 2) + k) % 3 == 0))
+                .collect();
+            for spec in &specs {
+                for skip in [0u64, 37, 70_000] {
+                    let mut g = Graph::new();
+                    let ins: Vec<_> = (0..weights.len()).map(|s| g.input_stream(s)).collect();
+                    let gen = g.generate_skipped(0, spec.clone(), skip);
+                    let cst = g.constant(0.3, spec.clone());
+                    let reg = g.regenerate_skipped(spec.clone(), skip, ins[0]);
+                    let mux = g.mux_add_skipped(ins[1], ins[2], spec.clone(), skip);
+                    let div = g.divide_skipped(ins[3], ins[1], spec.clone(), skip, 4);
+                    let wm = g.weighted_mux_skipped(&ins, &weights, spec.clone(), skip);
+                    for (name, wire) in [
+                        ("gen", gen),
+                        ("cst", cst),
+                        ("reg", reg),
+                        ("mux", mux),
+                        ("div", div),
+                        ("wm", wm),
+                    ] {
+                        g.sink_stream(name, wire);
+                    }
+                    let plan = g.compile(&PlannerOptions::no_repair()).unwrap();
+                    let input = BatchInput {
+                        values: vec![0.61],
+                        streams: streams.clone(),
+                    };
+                    let out = Executor::new(n).run(&plan, &input).unwrap();
+                    let skipped = || spec.build_skipped(skip);
+                    let mut select = skipped();
+                    let expected = [
+                        (
+                            "gen",
+                            DigitalToStochastic::new(skipped())
+                                .generate(Probability::saturating(0.61), n),
+                        ),
+                        (
+                            "cst",
+                            DigitalToStochastic::new(spec.build())
+                                .generate(Probability::saturating(0.3), n),
+                        ),
+                        ("reg", Regenerator::new(skipped()).regenerate(&streams[0])),
+                        (
+                            "mux",
+                            mux_add(
+                                &streams[1],
+                                &streams[2],
+                                &half_select_stream(&mut skipped(), n),
+                            )
+                            .unwrap(),
+                        ),
+                        (
+                            "div",
+                            Divider::with_counter_bits(skipped(), 4)
+                                .divide(&streams[3], &streams[1])
+                                .unwrap(),
+                        ),
+                        (
+                            "wm",
+                            Bitstream::from_fn(n, |i| {
+                                streams[walk(&weights, select.next_unit())].bit(i)
+                            }),
+                        ),
+                    ];
+                    for (name, reference) in expected {
+                        assert_eq!(
+                            out.stream(name).unwrap(),
+                            &reference,
+                            "{name} {spec} n={n} skip={skip}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn regenerating_an_empty_stream_draws_nothing() {
+        let mut g = Graph::new();
+        let x = g.input_stream(0);
+        let z = g.regenerate(SourceSpec::VanDerCorput { offset: 0 }, x);
+        g.sink_stream("z", z);
+        let plan = g.compile(&PlannerOptions::no_repair()).unwrap();
+        let sink = TelemetrySink::new();
+        let out = Executor::new(64)
+            .with_telemetry(sink.clone())
+            .run(&plan, &BatchInput::with_streams(vec![Bitstream::new()]))
+            .unwrap();
+        assert!(out.stream("z").unwrap().is_empty());
+        let report = sink.drain();
+        assert_eq!(report.counter(Counter::SampleMemoMisses), 0);
+        assert_eq!(report.counter(Counter::SampleMemoHits), 0);
+    }
+
+    #[test]
+    fn select_steps_keep_their_length_mismatch_errors() {
+        let select = SourceSpec::Lfsr {
+            width: 16,
+            seed: 0x1234,
+        };
+        let (x, y) = (Bitstream::ones(70), Bitstream::zeros(65));
+        let mut g = Graph::new();
+        let (a, b) = (g.input_stream(0), g.input_stream(1));
+        let z = g.mux_add(a, b, select.clone());
+        g.sink_stream("z", z);
+        let plan = g.compile(&PlannerOptions::no_repair()).unwrap();
+        let err = Executor::new(70)
+            .run(&plan, &BatchInput::with_streams(vec![x.clone(), y.clone()]))
+            .unwrap_err();
+        // The MUX adder draws `x.len()` selects, then the sc_arith adder
+        // reports the operand mismatch.
+        let sel = sc_arith::add::half_select_stream(&mut select.build(), x.len());
+        let reference = sc_arith::add::mux_add(&x, &y, &sel).unwrap_err();
+        assert_eq!(err, GraphError::Stream(reference));
+
+        let mut g = Graph::new();
+        let ins: Vec<_> = (0..3).map(|s| g.input_stream(s)).collect();
+        let z = g.weighted_mux(&ins, &[0.5, 0.25, 0.25], select);
+        g.sink_stream("z", z);
+        let plan = g.compile(&PlannerOptions::no_repair()).unwrap();
+        let err = Executor::new(70)
+            .run(&plan, &BatchInput::with_streams(vec![x.clone(), x, y]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::Stream(sc_bitstream::Error::LengthMismatch {
+                left: 70,
+                right: 65
+            })
+        );
+    }
+
+    #[test]
+    fn shared_select_source_matches_per_step_positioning() {
         // Two MUX adders drawing from one logically shared select LFSR via
-        // per-node skips, in one plan (cache continues one instance) vs in
-        // two separate plans (each positions a fresh instance): identical.
+        // per-node skips, in one plan vs in two separate plans (each
+        // positioning the source on its own): identical.
         let n = 301usize;
         let select = SourceSpec::Lfsr {
             width: 16,

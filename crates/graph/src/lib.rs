@@ -93,6 +93,7 @@
 
 pub mod compile;
 pub mod cost;
+mod draw;
 pub mod exec;
 pub mod graph;
 pub mod node;

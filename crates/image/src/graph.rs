@@ -16,11 +16,11 @@
 //!   shares one select LFSR across the tile's blur kernels, which the graph
 //!   expresses by giving the `k`-th kernel the same [`SourceSpec`] advanced
 //!   by `k·N` samples ([`sc_rng::SourceSpec::build_skipped`]) — bit-identical
-//!   to streaming the kernels sequentially off one source. For the LFSR this
-//!   skip is sample-stepped, so a tile's select-sample cost is quadratic in
-//!   kernels per tile (a few million ~ns LFSR steps at the default
-//!   configuration); executor-level sharing of logically shared sources is
-//!   the ROADMAP item that removes this;
+//!   to streaming the kernels sequentially off one source. Positioning costs
+//!   nothing: the executor reads each kernel's window straight out of the
+//!   16-bit LFSR's process-wide period table
+//!   ([`sc_rng::SourceSpec::table_window`]), so a tile's select cost is
+//!   linear in kernels;
 //! * the regeneration variant inserts explicit `Regenerate` nodes, whose
 //!   equal source specs the planner recognises as producing positively
 //!   correlated outputs — so it leaves the XOR subtractors alone;

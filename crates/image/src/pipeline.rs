@@ -261,8 +261,8 @@ pub struct PipelineStats {
     /// manipulator instead of inserting a fresh one, across all tile-class
     /// compiles (summed [`sc_graph::CompileReport::shared_repairs`]).
     pub shared_repairs: usize,
-    /// Duplicate source generators the emitted plans share through the
-    /// executor's source cache, across all tile-class compiles (summed
+    /// Duplicate source generators the emitted plans share (one physical
+    /// generator per spec), across all tile-class compiles (summed
     /// [`sc_graph::CompileReport::shared_sources`]).
     pub shared_sources: usize,
 }

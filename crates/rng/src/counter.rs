@@ -78,6 +78,12 @@ impl RandomSource for CounterSource {
     fn label(&self) -> String {
         format!("Counter-{}", self.modulus)
     }
+
+    /// Modular jump: `O(1)`.
+    fn skip_ahead(&mut self, count: u64) {
+        self.state =
+            ((u128::from(self.state) + u128::from(count)) % u128::from(self.modulus)) as u64;
+    }
 }
 
 #[cfg(test)]

@@ -104,6 +104,11 @@ impl RandomSource for Halton {
     fn label(&self) -> String {
         format!("Halton-{}", self.base)
     }
+
+    /// Index-addressable: `O(1)`.
+    fn skip_ahead(&mut self, count: u64) {
+        self.index += count;
+    }
 }
 
 #[cfg(test)]

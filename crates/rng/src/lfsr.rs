@@ -8,6 +8,8 @@
 //! low-discrepancy sequences — are used instead.
 
 use crate::source::{RandomSource, RngKind};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Feedback structure of the LFSR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -222,6 +224,76 @@ impl Lfsr {
                 std::mem::swap(&mut base, &mut scratch);
             }
         }
+    }
+}
+
+/// Widest register whose whole period is tabulated by [`PeriodTable`].
+pub(crate) const TABLE_MAX_WIDTH: u32 = 16;
+
+/// One Fibonacci register width's full period, tabulated once per process.
+///
+/// A maximal-length LFSR has a single cycle through all `2^w − 1` non-zero
+/// states, so every seed and every skip of that width is a window into one
+/// sequence. `numerators` holds the period in order starting from state 1,
+/// each state `s` stored as its sample numerator `s − 1` (the sample is
+/// `(s − 1) / period`), and `phase` maps a state back to its index. Both fit
+/// in `u16` up to [`TABLE_MAX_WIDTH`] (256 KiB at width 16).
+pub(crate) struct PeriodTable {
+    numerators: Box<[u16]>,
+    phase: Box<[u16]>,
+}
+
+static PERIOD_TABLES: [OnceLock<PeriodTable>; (TABLE_MAX_WIDTH - 2) as usize] =
+    [const { OnceLock::new() }; (TABLE_MAX_WIDTH - 2) as usize];
+
+impl PeriodTable {
+    /// The shared table of a Fibonacci register of `width` (`3..=16`),
+    /// walking its period on first use. The flag reports whether this call
+    /// did the walk.
+    pub(crate) fn get(width: u32) -> (&'static PeriodTable, bool) {
+        let mut built = false;
+        let table = PERIOD_TABLES[(width - 3) as usize].get_or_init(|| {
+            built = true;
+            Self::build(width)
+        });
+        (table, built)
+    }
+
+    fn build(width: u32) -> PeriodTable {
+        let mut lfsr = Lfsr::new(width, 1);
+        let period = lfsr.period() as usize;
+        let mut numerators = vec![0u16; period].into_boxed_slice();
+        let mut phase = vec![0u16; period + 1].into_boxed_slice();
+        for (i, slot) in numerators.iter_mut().enumerate() {
+            let state = lfsr.state();
+            *slot = (state - 1) as u16;
+            phase[state as usize] = i as u16;
+            lfsr.step();
+        }
+        assert_eq!(lfsr.state(), 1, "width {width} taps are not maximal-length");
+        PeriodTable { numerators, phase }
+    }
+
+    /// The `len` samples a register seeded `seed` (non-zero, within the
+    /// width) emits after `skip` steps, as numerators over the period:
+    /// borrowed from the table unless the window wraps past its end.
+    pub(crate) fn window(&'static self, seed: u64, skip: u64, len: usize) -> Cow<'static, [u16]> {
+        let period = self.numerators.len();
+        // The first sample is the state one step past the skipped position.
+        let start = ((u64::from(self.phase[seed as usize]) + skip % period as u64 + 1)
+            % period as u64) as usize;
+        if start + len <= period {
+            return Cow::Borrowed(&self.numerators[start..start + len]);
+        }
+        Cow::Owned(
+            self.numerators
+                .iter()
+                .cycle()
+                .skip(start)
+                .take(len)
+                .copied()
+                .collect(),
+        )
     }
 }
 

@@ -46,7 +46,7 @@ pub use halton::Halton;
 pub use lfsr::{Lfsr, LfsrStructure};
 pub use sobol::Sobol;
 pub use source::{RandomSource, RngKind, SourceExt};
-pub use spec::{SourceGateModel, SourceSpec};
+pub use spec::{SourceGateModel, SourceSpec, TableWindow};
 pub use vandercorput::VanDerCorput;
 
 /// Constructs a boxed source of the requested kind with sensible defaults,

@@ -131,6 +131,31 @@ impl RandomSource for Sobol {
     fn label(&self) -> String {
         format!("Sobol-{}", self.dimension)
     }
+
+    /// Gray-code jump: `O(BITS)` instead of `O(count)` steps.
+    ///
+    /// In the Gray-code construction the state after `i` steps is the XOR of
+    /// the direction numbers selected by the set bits of
+    /// `gray(i) = i ^ (i >> 1)`, so any index below `2^BITS` is reached
+    /// directly. Past that point the step rule saturates at the last
+    /// direction number, so the remainder is stepped.
+    fn skip_ahead(&mut self, count: u64) {
+        let target = self.index.saturating_add(count);
+        let direct = target.min((1u64 << BITS) - 1);
+        if direct > self.index {
+            let gray = direct ^ (direct >> 1);
+            self.state = self
+                .directions
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| (gray >> k) & 1 == 1)
+                .fold(0, |acc, (_, &v)| acc ^ v);
+            self.index = direct;
+        }
+        while self.index < target {
+            self.next_raw();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +257,47 @@ mod tests {
             let mean: f64 = (0..n).map(|_| s.next_unit()).sum::<f64>() / n as f64;
             assert!((mean - 0.5).abs() < 0.02, "dim {dim} mean {mean}");
         }
+    }
+
+    #[test]
+    fn gray_code_jump_matches_stepping() {
+        for dim in 1..=8u32 {
+            for start in [0u64, 1, 5, 64] {
+                for count in [0u64, 1, 2, 3, 63, 64, 65, 255, 256, 1000, 4097] {
+                    let mut stepped = Sobol::new(dim);
+                    let mut jumped = Sobol::new(dim);
+                    for _ in 0..start {
+                        stepped.next_raw();
+                        jumped.next_raw();
+                    }
+                    for _ in 0..count {
+                        stepped.next_raw();
+                    }
+                    jumped.skip_ahead(count);
+                    assert_eq!(
+                        (stepped.state, stepped.index),
+                        (jumped.state, jumped.index),
+                        "dim {dim} start {start} count {count}"
+                    );
+                    assert_eq!(stepped.next_raw(), jumped.next_raw());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gray_code_jump_steps_past_the_direct_range() {
+        // Reach the top of the directly addressable range by jumping, then
+        // compare a jump across it with stepping across it.
+        let edge = (1u64 << BITS) - 3;
+        let mut stepped = Sobol::new(3);
+        stepped.skip_ahead(edge);
+        let mut jumped = stepped.clone();
+        for _ in 0..6 {
+            stepped.next_raw();
+        }
+        jumped.skip_ahead(6);
+        assert_eq!(stepped, jumped);
     }
 
     proptest! {

@@ -60,10 +60,10 @@ pub trait RandomSource: Send {
     /// Used to position an independently built source mid-sequence, e.g. when
     /// a dataflow plan gives each node its own instance of a logically shared
     /// source (see [`crate::SourceSpec::build_skipped`]). The default
-    /// implementation steps sample by sample; sources with algebraic state
-    /// transitions override it with a sub-linear jump ([`crate::Lfsr`] uses a
-    /// companion-matrix power, `O(w² log count)` word operations instead of
-    /// `count` register steps).
+    /// implementation steps sample by sample; every source in this crate
+    /// overrides it with a sub-linear jump (index arithmetic for the
+    /// low-discrepancy sequences and counters, a companion-matrix power for
+    /// [`crate::Lfsr`], the Gray code for [`crate::Sobol`]).
     fn skip_ahead(&mut self, count: u64) {
         for _ in 0..count {
             self.next_unit();

@@ -16,7 +16,9 @@
 //!   reproducing the state a shared hardware source would have after serving
 //!   earlier consumers.
 
+use crate::lfsr::{PeriodTable, TABLE_MAX_WIDTH};
 use crate::{CounterSource, Halton, Lfsr, RandomSource, RngKind, Sobol, VanDerCorput};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A buildable, comparable description of a [`RandomSource`].
@@ -36,6 +38,10 @@ use std::fmt;
 #[non_exhaustive]
 pub enum SourceSpec {
     /// A Fibonacci LFSR of the given register width and seed.
+    ///
+    /// Registers up to 16 bits wide draw from one period table per width,
+    /// built on first use and shared by the whole process (256 KiB at width
+    /// 16; see [`SourceSpec::table_window`]).
     Lfsr {
         /// Register width in bits.
         width: u32,
@@ -105,27 +111,11 @@ impl SourceSpec {
     pub fn build(&self) -> Box<dyn RandomSource> {
         match *self {
             SourceSpec::Lfsr { width, seed } => Box::new(Lfsr::new(width, seed)),
-            SourceSpec::VanDerCorput { offset } => {
-                if offset == 0 {
-                    Box::new(VanDerCorput::new())
-                } else {
-                    Box::new(VanDerCorput::with_offset(offset))
-                }
-            }
-            SourceSpec::Halton { base, offset } => {
-                if offset == 0 {
-                    Box::new(Halton::new(base))
-                } else {
-                    Box::new(Halton::with_offset(base, offset))
-                }
-            }
+            SourceSpec::VanDerCorput { offset } => Box::new(VanDerCorput::with_offset(offset)),
+            SourceSpec::Halton { base, offset } => Box::new(Halton::with_offset(base, offset)),
             SourceSpec::Sobol { dimension } => Box::new(Sobol::new(dimension)),
             SourceSpec::Counter { modulus, phase } => {
-                if phase == 0 {
-                    Box::new(CounterSource::new(modulus))
-                } else {
-                    Box::new(CounterSource::with_phase(modulus, phase))
-                }
+                Box::new(CounterSource::with_phase(modulus, phase))
             }
         }
     }
@@ -164,37 +154,111 @@ impl SourceSpec {
     /// the state a shared source instance would have after `skip` earlier
     /// draws by other consumers.
     ///
-    /// Index-addressable families (Van der Corput, Halton, counters) jump to
-    /// the skipped position in O(1) via their offset/phase constructors;
-    /// state-iterated families (LFSR, Sobol) step sample by sample.
+    /// No family steps sample by sample: Van der Corput, Halton and counters
+    /// are index-addressable (`O(1)`), the LFSR jumps by a companion-matrix
+    /// power (`O(w² log skip)`) and Sobol by its Gray code (`O(32)`).
     #[must_use]
     pub fn build_skipped(&self, skip: u64) -> Box<dyn RandomSource> {
-        match *self {
-            SourceSpec::VanDerCorput { offset } => {
-                return SourceSpec::VanDerCorput {
-                    offset: offset + skip,
-                }
-                .build()
-            }
-            SourceSpec::Halton { base, offset } => {
-                return SourceSpec::Halton {
-                    base,
-                    offset: offset + skip,
-                }
-                .build()
-            }
-            SourceSpec::Counter { modulus, phase } => {
-                return SourceSpec::Counter {
-                    modulus,
-                    phase: (phase + (skip % modulus)) % modulus,
-                }
-                .build()
-            }
-            _ => {}
-        }
         let mut source = self.build();
         source.skip_ahead(skip);
         source
+    }
+
+    /// Writes the `out.len()` samples that follow the first `skip` — exactly
+    /// what `build_skipped(skip)` followed by `next_unit` per slot returns —
+    /// without a live source or a per-sample dynamic call.
+    ///
+    /// LFSRs up to 16 bits wide read their [`SourceSpec::table_window`];
+    /// every other family jumps to `skip` and steps a concrete source.
+    pub fn fill_samples(&self, skip: u64, out: &mut [f64]) {
+        fn fill<S: RandomSource>(mut source: S, skip: u64, out: &mut [f64]) {
+            source.skip_ahead(skip);
+            out.iter_mut().for_each(|o| *o = source.next_unit());
+        }
+        if let Some(window) = self.table_window(skip, out.len()) {
+            let period = window.period as f64;
+            for (o, &m) in out.iter_mut().zip(window.numerators.iter()) {
+                *o = f64::from(m) / period;
+            }
+            return;
+        }
+        match *self {
+            SourceSpec::Lfsr { width, seed } => fill(Lfsr::new(width, seed), skip, out),
+            SourceSpec::VanDerCorput { offset } => {
+                fill(VanDerCorput::with_offset(offset), skip, out);
+            }
+            SourceSpec::Halton { base, offset } => {
+                fill(Halton::with_offset(base, offset), skip, out);
+            }
+            SourceSpec::Sobol { dimension } => fill(Sobol::new(dimension), skip, out),
+            SourceSpec::Counter { modulus, phase } => {
+                fill(CounterSource::with_phase(modulus, phase), skip, out);
+            }
+        }
+    }
+
+    /// The `len` samples that follow the first `skip` in exact integer form,
+    /// for LFSRs up to 16 bits wide (`None` for every other spec).
+    ///
+    /// Such a register's samples are `(s − 1) / period` over its states
+    /// `s`; one period table per width, walked on first use and shared by
+    /// the whole process, holds them in order, and every seed and skip is a
+    /// window into it. Comparing the integer numerators against a bound
+    /// decides `sample < t` exactly without converting a sample to `f64`
+    /// (see [`TableWindow::bound`]).
+    #[must_use]
+    pub fn table_window(&self, skip: u64, len: usize) -> Option<TableWindow> {
+        match *self {
+            SourceSpec::Lfsr { width, seed } if width <= TABLE_MAX_WIDTH => {
+                let seed = Lfsr::new(width, seed).state();
+                let (table, built) = PeriodTable::get(width);
+                Some(TableWindow {
+                    numerators: table.window(seed, skip, len),
+                    period: (1u64 << width) - 1,
+                    built,
+                })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A window of a table-backed LFSR's samples (see
+/// [`SourceSpec::table_window`]): sample `i` is exactly
+/// `numerators[i] as f64 / period as f64`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableWindow {
+    /// Sample numerators, borrowed from the shared period table unless the
+    /// window wraps past the end of the period.
+    pub numerators: Cow<'static, [u16]>,
+    /// The register period `2^width − 1`, the common denominator.
+    pub period: u64,
+    /// Whether this call walked the width's period table for the first time
+    /// in the process.
+    pub built: bool,
+}
+
+impl TableWindow {
+    /// The smallest numerator `m` in `0..=period` whose sample reaches `t`
+    /// (`m / period ≥ t`), with `period` meaning none does — so for every
+    /// numerator `k` of this window, `k < bound(t)` exactly when the sample
+    /// is `< t`.
+    ///
+    /// The ceiling of the rounded product `t · period` never overshoots the
+    /// boundary: the product is monotone in `t`, so it is largest at
+    /// `t = m / period` itself, and the tests check that case for every
+    /// numerator of every tabulated width. Division by the period is
+    /// monotone under f64 rounding too, so stepping up to the first sample
+    /// that reaches `t` is exact (in practice at most one step).
+    #[must_use]
+    pub fn bound(&self, t: f64) -> u16 {
+        let (period, p) = (self.period, self.period as f64);
+        // NaN clamps to 0, where `sample < NaN` is false for every sample.
+        let mut m = (t * p).ceil().clamp(0.0, p) as u64;
+        while m < period && (m as f64 / p) < t {
+            m += 1;
+        }
+        m as u16
     }
 }
 
@@ -269,8 +333,9 @@ mod tests {
 
     #[test]
     fn build_skipped_matches_manual_skip() {
-        // Covers both the O(1) jump families (VDC, Halton, counter) and the
-        // sample-stepped families (LFSR, Sobol).
+        // Covers the index-addressable families (VDC, Halton, counter) and
+        // the state-iterated ones (LFSR companion-matrix jump, Sobol Gray
+        // code).
         let specs = [
             SourceSpec::Lfsr {
                 width: 16,
@@ -298,6 +363,155 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The reference draw: a live skipped source, one `next_unit` per slot.
+    fn stepped(spec: &SourceSpec, skip: u64, len: usize) -> Vec<f64> {
+        spec.build_skipped(skip).take_units(len)
+    }
+
+    fn filled(spec: &SourceSpec, skip: u64, len: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; len];
+        spec.fill_samples(skip, &mut out);
+        out
+    }
+
+    #[test]
+    fn fill_samples_matches_stepping_for_every_family() {
+        let specs = [
+            SourceSpec::Lfsr {
+                width: 16,
+                seed: 0xACE1,
+            },
+            SourceSpec::Lfsr {
+                width: 17,
+                seed: 0x1_2345,
+            },
+            SourceSpec::Lfsr { width: 24, seed: 0 },
+            SourceSpec::VanDerCorput { offset: 0 },
+            SourceSpec::VanDerCorput { offset: 9 },
+            SourceSpec::Halton { base: 3, offset: 0 },
+            SourceSpec::Halton { base: 7, offset: 4 },
+            SourceSpec::Sobol { dimension: 1 },
+            SourceSpec::Sobol { dimension: 8 },
+            SourceSpec::Counter {
+                modulus: 256,
+                phase: 0,
+            },
+            SourceSpec::Counter {
+                modulus: 100,
+                phase: 311,
+            },
+        ];
+        for spec in &specs {
+            for len in [1usize, 63, 64, 65, 1000] {
+                for skip in [0u64, 1, 255, 256, 70_001] {
+                    assert_eq!(
+                        filled(spec, skip, len),
+                        stepped(spec, skip, len),
+                        "{spec} skip={skip} len={len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lfsr_period_table_windows_match_stepping_at_every_width() {
+        for width in 3..=TABLE_MAX_WIDTH {
+            let period = (1u64 << width) - 1;
+            for seed in [1, period] {
+                let spec = SourceSpec::Lfsr { width, seed };
+                for skip in [0, 1, period - 1, period, 3 * period + 5] {
+                    for len in [1usize, 63, 64, 65, 1000] {
+                        assert_eq!(
+                            filled(&spec, skip, len),
+                            stepped(&spec, skip, len),
+                            "width {width} seed {seed} skip={skip} len={len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_window_bounds_decide_comparisons_exactly() {
+        for width in [3u32, 8, 16] {
+            let spec = SourceSpec::Lfsr { width, seed: 5 };
+            let window = spec.table_window(11, 300).expect("table-backed width");
+            let samples = stepped(&spec, 11, 300);
+            let mut targets = vec![0.0, -0.0, 0.5, 1.0, -1.0, 2.0, f64::NAN, 1e-300];
+            for &u in &samples {
+                targets.extend([u, u.next_up(), u.next_down()]);
+            }
+            for t in targets {
+                let bound = window.bound(t);
+                for (&m, &u) in window.numerators.iter().zip(&samples) {
+                    assert_eq!(m < bound, u < t, "width {width} t {t:e} m {m}");
+                }
+            }
+        }
+        // Samples `k / period` are strictly increasing in `k`, so the exact
+        // bound of a sample is its own numerator, and one ulp above it the
+        // next one — checked for every numerator of every tabulated width.
+        for width in 3..=TABLE_MAX_WIDTH {
+            let window = SourceSpec::Lfsr { width, seed: 1 }
+                .table_window(0, 1)
+                .unwrap();
+            let p = window.period as f64;
+            for k in 0..window.period {
+                let u = k as f64 / p;
+                let k = k as u16;
+                assert_eq!(window.bound(u), k, "width {width}");
+                assert_eq!(window.bound(u.next_up()), k + 1, "width {width}");
+                assert_eq!(window.bound(u.next_down()), k, "width {width}");
+            }
+        }
+        assert!(SourceSpec::Lfsr { width: 17, seed: 1 }
+            .table_window(0, 4)
+            .is_none());
+        assert!(SourceSpec::Sobol { dimension: 1 }
+            .table_window(0, 4)
+            .is_none());
+    }
+
+    #[test]
+    fn table_windows_borrow_unless_they_wrap() {
+        let spec = SourceSpec::Lfsr { width: 4, seed: 1 };
+        let inside = spec.table_window(0, 14).unwrap();
+        assert!(matches!(inside.numerators, Cow::Borrowed(_)));
+        let wrapped = spec.table_window(3, 40).unwrap();
+        assert!(matches!(wrapped.numerators, Cow::Owned(_)));
+        assert_eq!(wrapped.period, 15);
+        let expected: Vec<f64> = stepped(&spec, 3, 40);
+        let got: Vec<f64> = wrapped
+            .numerators
+            .iter()
+            .map(|&m| f64::from(m) / 15.0)
+            .collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn lfsr_period_table_is_built_at_most_once_per_width() {
+        // Other tests may draw width 9 concurrently, so only "at most once"
+        // is deterministic here; afterwards the table is always reused.
+        let spec = SourceSpec::Lfsr { width: 9, seed: 3 };
+        let builds: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u64)
+                .map(|skip| {
+                    let spec = spec.clone();
+                    scope.spawn(move || spec.table_window(skip, 4).unwrap().built)
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| usize::from(h.join().unwrap()))
+                .sum()
+        });
+        assert!(builds <= 1, "{builds} concurrent builds of one table");
+        assert!(!spec.table_window(7, 4).unwrap().built);
     }
 
     #[test]

@@ -90,6 +90,11 @@ impl RandomSource for VanDerCorput {
     fn kind(&self) -> RngKind {
         RngKind::VanDerCorput
     }
+
+    /// Index-addressable: `O(1)`.
+    fn skip_ahead(&mut self, count: u64) {
+        self.index += count;
+    }
 }
 
 #[cfg(test)]

@@ -235,11 +235,18 @@ pub enum Counter {
     /// Lane-batched jobs that executed in a dispatch group mixing two or
     /// more requests (cross-request coalescing at work).
     CrossRequestLaneJobs,
+    /// Executor sample draws served from a job's sample memo.
+    SampleMemoHits,
+    /// Executor sample draws filled fresh into a job's sample memo.
+    SampleMemoMisses,
+    /// Process-wide LFSR period tables walked on first use (at most one per
+    /// register width).
+    PeriodTableBuilds,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 21] = [
         Counter::JobsPulled,
         Counter::JobsFailed,
         Counter::LaneBatchedJobs,
@@ -258,6 +265,9 @@ impl Counter {
         Counter::RequestsCancelled,
         Counter::RequestsExpired,
         Counter::CrossRequestLaneJobs,
+        Counter::SampleMemoHits,
+        Counter::SampleMemoMisses,
+        Counter::PeriodTableBuilds,
     ];
 
     /// The counter's stable export name.
@@ -282,6 +292,9 @@ impl Counter {
             Counter::RequestsCancelled => "requests_cancelled",
             Counter::RequestsExpired => "requests_expired",
             Counter::CrossRequestLaneJobs => "cross_request_lane_jobs",
+            Counter::SampleMemoHits => "sample_memo_hits",
+            Counter::SampleMemoMisses => "sample_memo_misses",
+            Counter::PeriodTableBuilds => "period_table_builds",
         }
     }
 }
