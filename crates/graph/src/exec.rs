@@ -1771,10 +1771,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_select_source_matches_per_step_positioning() {
+    fn shared_source_cache_matches_per_step_positioning() {
         // Two MUX adders drawing from one logically shared select LFSR via
-        // per-node skips, in one plan vs in two separate plans (each
-        // positioning the source on its own): identical.
+        // per-node skips, in one plan (cache continues one instance) vs in
+        // two separate plans (each positions a fresh instance): identical.
         let n = 301usize;
         let select = SourceSpec::Lfsr {
             width: 16,

@@ -111,11 +111,27 @@ impl SourceSpec {
     pub fn build(&self) -> Box<dyn RandomSource> {
         match *self {
             SourceSpec::Lfsr { width, seed } => Box::new(Lfsr::new(width, seed)),
-            SourceSpec::VanDerCorput { offset } => Box::new(VanDerCorput::with_offset(offset)),
-            SourceSpec::Halton { base, offset } => Box::new(Halton::with_offset(base, offset)),
+            SourceSpec::VanDerCorput { offset } => {
+                if offset == 0 {
+                    Box::new(VanDerCorput::new())
+                } else {
+                    Box::new(VanDerCorput::with_offset(offset))
+                }
+            }
+            SourceSpec::Halton { base, offset } => {
+                if offset == 0 {
+                    Box::new(Halton::new(base))
+                } else {
+                    Box::new(Halton::with_offset(base, offset))
+                }
+            }
             SourceSpec::Sobol { dimension } => Box::new(Sobol::new(dimension)),
             SourceSpec::Counter { modulus, phase } => {
-                Box::new(CounterSource::with_phase(modulus, phase))
+                if phase == 0 {
+                    Box::new(CounterSource::new(modulus))
+                } else {
+                    Box::new(CounterSource::with_phase(modulus, phase))
+                }
             }
         }
     }
@@ -154,11 +170,35 @@ impl SourceSpec {
     /// the state a shared source instance would have after `skip` earlier
     /// draws by other consumers.
     ///
-    /// No family steps sample by sample: Van der Corput, Halton and counters
-    /// are index-addressable (`O(1)`), the LFSR jumps by a companion-matrix
+    /// No family steps sample by sample: index-addressable families (Van der
+    /// Corput, Halton, counters) jump to the skipped position in `O(1)` via
+    /// their offset/phase constructors; the LFSR jumps by a companion-matrix
     /// power (`O(w² log skip)`) and Sobol by its Gray code (`O(32)`).
     #[must_use]
     pub fn build_skipped(&self, skip: u64) -> Box<dyn RandomSource> {
+        match *self {
+            SourceSpec::VanDerCorput { offset } => {
+                return SourceSpec::VanDerCorput {
+                    offset: offset + skip,
+                }
+                .build()
+            }
+            SourceSpec::Halton { base, offset } => {
+                return SourceSpec::Halton {
+                    base,
+                    offset: offset + skip,
+                }
+                .build()
+            }
+            SourceSpec::Counter { modulus, phase } => {
+                return SourceSpec::Counter {
+                    modulus,
+                    phase: (phase + (skip % modulus)) % modulus,
+                }
+                .build()
+            }
+            _ => {}
+        }
         let mut source = self.build();
         source.skip_ahead(skip);
         source
@@ -168,19 +208,13 @@ impl SourceSpec {
     /// what `build_skipped(skip)` followed by `next_unit` per slot returns —
     /// without a live source or a per-sample dynamic call.
     ///
-    /// LFSRs up to 16 bits wide read their [`SourceSpec::table_window`];
-    /// every other family jumps to `skip` and steps a concrete source.
+    /// Every family jumps to `skip` and steps a concrete source; callers
+    /// that can compare in the integer domain read an LFSR of up to 16 bits
+    /// from its [`SourceSpec::table_window`] instead.
     pub fn fill_samples(&self, skip: u64, out: &mut [f64]) {
         fn fill<S: RandomSource>(mut source: S, skip: u64, out: &mut [f64]) {
             source.skip_ahead(skip);
             out.iter_mut().for_each(|o| *o = source.next_unit());
-        }
-        if let Some(window) = self.table_window(skip, out.len()) {
-            let period = window.period as f64;
-            for (o, &m) in out.iter_mut().zip(window.numerators.iter()) {
-                *o = f64::from(m) / period;
-            }
-            return;
         }
         match *self {
             SourceSpec::Lfsr { width, seed } => fill(Lfsr::new(width, seed), skip, out),
@@ -333,9 +367,8 @@ mod tests {
 
     #[test]
     fn build_skipped_matches_manual_skip() {
-        // Covers the index-addressable families (VDC, Halton, counter) and
-        // the state-iterated ones (LFSR companion-matrix jump, Sobol Gray
-        // code).
+        // Covers both the O(1) jump families (VDC, Halton, counter) and the
+        // sample-stepped families (LFSR, Sobol).
         let specs = [
             SourceSpec::Lfsr {
                 width: 16,
@@ -424,8 +457,16 @@ mod tests {
                 let spec = SourceSpec::Lfsr { width, seed };
                 for skip in [0, 1, period - 1, period, 3 * period + 5] {
                     for len in [1usize, 63, 64, 65, 1000] {
+                        let window = spec.table_window(skip, len).expect("table-backed width");
+                        assert_eq!(window.period, period);
+                        let p = window.period as f64;
+                        let from_table: Vec<f64> = window
+                            .numerators
+                            .iter()
+                            .map(|&m| f64::from(m) / p)
+                            .collect();
                         assert_eq!(
-                            filled(&spec, skip, len),
+                            from_table,
                             stepped(&spec, skip, len),
                             "width {width} seed {seed} skip={skip} len={len}"
                         );

@@ -64,34 +64,24 @@ fn snapshots_interleaved_with_writers_do_not_consume_drained_spans() {
 
     let sink = TelemetrySink::with_span_capacity(RING_CAPACITY);
     let stop = Arc::new(AtomicBool::new(false));
-    // The writer waits for the sampler to be running, so a fast writer
-    // cannot finish before the sampler observes anything.
-    let started = Arc::new(Barrier::new(2));
     let sampler = {
         let sink = sink.clone();
         let stop = Arc::clone(&stop);
-        let started = Arc::clone(&started);
         std::thread::spawn(move || {
             let mut observations = 0u64;
-            let mut first = true;
-            while first || !stop.load(Ordering::Acquire) {
+            while !stop.load(Ordering::Acquire) {
                 let snapshot = sink.snapshot();
                 // Mid-flight invariant: a snapshot never invents or loses
                 // spans — retained + dropped covers exactly what had been
                 // recorded by some point of the interleaving.
                 assert!(snapshot.spans.len() as u64 + snapshot.dropped_spans <= TOTAL_SPANS as u64);
                 observations += 1;
-                if first {
-                    first = false;
-                    started.wait();
-                }
                 std::thread::yield_now();
             }
             observations
         })
     };
 
-    started.wait();
     for _ in 0..TOTAL_SPANS {
         let _span = sink.span(Stage::LaneGroupExecute);
     }

@@ -474,7 +474,7 @@ fn cosim_optimized_gb_ed_tile_matches_every_pass_subset() {
         let report = plans[0].report();
         // Tile pixels never share whole interior subgraphs (every weighted
         // mux has distinct inputs), so the CSE pass's win on this graph is
-        // the shared-source audit (one generator per distinct spec).
+        // the shared-source audit the executor's source cache exploits.
         assert!(
             report.shared_subgraphs + report.shared_sources > 0,
             "{variant:?}: tile compile should detect shared work"
