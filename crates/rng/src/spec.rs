@@ -465,11 +465,12 @@ mod tests {
                             .iter()
                             .map(|&m| f64::from(m) / p)
                             .collect();
+                        let expected = stepped(&spec, skip, len);
                         assert_eq!(
-                            from_table,
-                            stepped(&spec, skip, len),
+                            from_table, expected,
                             "width {width} seed {seed} skip={skip} len={len}"
                         );
+                        assert_eq!(filled(&spec, skip, len), expected, "width {width}");
                     }
                 }
             }
