@@ -1,6 +1,5 @@
-//! Measures the lane-batched `u64×4` kernels and the executor's stream
-//! transposition against scalar execution, and records the evidence in
-//! `BENCH_lane_batch.json`.
+//! Measures the lane-batched `u64×4` library kernels against scalar
+//! execution, and records the evidence in `BENCH_lane_batch.json`.
 //!
 //! Run with `cargo run --release -p sc_bench --bin lane_batch_throughput`.
 //! The JSON file is written to the current directory (or to the path given
@@ -9,17 +8,10 @@
 //! per stream:
 //!
 //! * `scalar_ns` — one solo word-parallel call;
-//! * `lane_ns` — a `LANES`-wide kernel-level lane group, time / 4;
-//! * `executor_scalar_ns` — one of four same-class [`StreamJob`]s streamed
-//!   through [`Executor::run_stream`] with a window of 1, which forces the
-//!   scalar dispatch path;
-//! * `executor_lane_ns` — the same four jobs with a window of `LANES`, which
-//!   lets the executor transpose them into lanes and step their FSM stages
-//!   together.
+//! * `lane_ns` — a `LANES`-wide kernel-level lane group, time / 4.
 //!
-//! The bin asserts bit-identity between the two executor configurations
-//! before timing anything, then gates the kernel-level lane speedups and the
-//! end-to-end executor transposition gain.
+//! The bin asserts that every lane reproduces the solo call bit for bit
+//! before timing anything, then gates the kernel-level lane speedups.
 
 use sc_arith::maxmin::{ca_max, ca_max_lanes};
 use sc_bitstream::{Bitstream, Probability};
@@ -28,13 +20,8 @@ use sc_core::{
     process_lane_pairs, CorrelationManipulator, Decorrelator, DecorrelatorLanes, LaneBank,
     Synchronizer, LANES,
 };
-use sc_graph::{
-    BatchInput, BinaryOp, CompiledGraph, Executor, Graph, ManipulatorKind, PlannerOptions,
-    StreamJob,
-};
 use sc_rng::{Halton, VanDerCorput};
-use sc_telemetry::{Json, TelemetrySink};
-use std::sync::Arc;
+use sc_telemetry::Json;
 use std::time::Instant;
 
 const STREAM_BITS: usize = 4096;
@@ -77,51 +64,15 @@ fn measure<F: FnMut()>(mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// A two-input plan exercising one lane-batchable operator, fed by raw input
-/// streams so the measurement is the operator itself, not source generation.
-fn plan_for(op: &str) -> Arc<CompiledGraph> {
-    let mut g = Graph::new();
-    let a = g.input_stream(0);
-    let b = g.input_stream(1);
-    match op {
-        "ca_max" => {
-            let z = g.binary(BinaryOp::CaMax, a, b);
-            g.sink_stream("out_x", z);
-        }
-        "synchronizer_d1" => {
-            let (mx, my) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, a, b);
-            g.sink_stream("out_x", mx);
-            g.sink_stream("out_y", my);
-        }
-        "decorrelator_d4" => {
-            let (mx, my) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, a, b);
-            g.sink_stream("out_x", mx);
-            g.sink_stream("out_y", my);
-        }
-        other => unreachable!("unknown op {other}"),
-    }
-    // No auto-repair: the plan must contain exactly the operator under test.
-    Arc::new(
-        g.compile(&PlannerOptions::no_repair())
-            .expect("two-input bench graphs are valid"),
-    )
-}
-
 struct Row {
     op: &'static str,
     scalar_ns: f64,
     lane_ns: f64,
-    executor_scalar_ns: f64,
-    executor_lane_ns: f64,
 }
 
 impl Row {
     fn lane_speedup(&self) -> f64 {
         self.scalar_ns / self.lane_ns
-    }
-
-    fn executor_speedup(&self) -> f64 {
-        self.executor_scalar_ns / self.executor_lane_ns
     }
 }
 
@@ -130,35 +81,47 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_lane_batch.json".into());
     let (x, y) = input_pair(STREAM_BITS);
-    let executor = Executor::new(STREAM_BITS).with_threads(1);
+    let lane_inputs: Vec<(&Bitstream, &Bitstream)> = (0..LANES).map(|_| (&x, &y)).collect();
     let mut rows: Vec<Row> = Vec::new();
 
     for op in ["ca_max", "synchronizer_d1", "decorrelator_d4"] {
-        let plan = plan_for(op);
-        let jobs = || {
-            (0..LANES).map(|_| StreamJob {
-                plan: Arc::clone(&plan),
-                input: BatchInput::with_streams(vec![x.clone(), y.clone()]),
-            })
+        // Bit-identity first: every lane must reproduce the solo call.
+        let (solo, lanes) = match op {
+            "ca_max" => (
+                vec![ca_max(&x, &y).expect("lengths")],
+                ca_max_lanes(&lane_inputs).expect("lengths"),
+            ),
+            "synchronizer_d1" => {
+                let (ox, oy) = Synchronizer::new(1).process(&x, &y).expect("lengths");
+                let mut bank = LaneBank::new(
+                    (0..LANES)
+                        .map(|_| Box::new(Synchronizer::new(1)) as Box<dyn CorrelationManipulator>)
+                        .collect(),
+                );
+                let out = process_lane_pairs(&mut bank, &lane_inputs).expect("lengths");
+                (
+                    vec![ox, oy],
+                    out.into_iter().flat_map(|(a, b)| [a, b]).collect(),
+                )
+            }
+            "decorrelator_d4" => {
+                let (ox, oy) = Decorrelator::new(4).process(&x, &y).expect("lengths");
+                let mut bank = DecorrelatorLanes::new(4, LANES);
+                let out = process_lane_pairs(&mut bank, &lane_inputs).expect("lengths");
+                (
+                    vec![ox, oy],
+                    out.into_iter().flat_map(|(a, b)| [a, b]).collect(),
+                )
+            }
+            other => unreachable!("unknown op {other}"),
         };
-        // Bit-identity first: the transposed window must reproduce the
-        // scalar window's outputs exactly, and the stats must prove each
-        // configuration took the path it claims to measure.
-        let (scalar_out, scalar_stats) = executor
-            .run_stream_with_stats(jobs(), 1)
-            .expect("bench jobs execute");
-        let (lane_out, lane_stats) = executor
-            .run_stream_with_stats(jobs(), LANES)
-            .expect("bench jobs execute");
-        assert_eq!(
-            scalar_out, lane_out,
-            "{op}: transposed execution diverged from scalar execution"
-        );
-        assert_eq!(scalar_stats.lane_batched_jobs, 0, "{op}: window 1 batched");
-        assert_eq!(
-            lane_stats.lane_batched_jobs, LANES,
-            "{op}: window {LANES} did not lane-batch"
-        );
+        for (l, lane) in lanes.chunks(solo.len()).enumerate() {
+            assert_eq!(
+                lane,
+                solo.as_slice(),
+                "{op}: lane {l} diverged from the solo call"
+            );
+        }
 
         let scalar_ns = match op {
             "ca_max" => measure(|| {
@@ -193,65 +156,27 @@ fn main() {
             }),
             other => unreachable!("unknown op {other}"),
         } / LANES as f64;
-        let executor_scalar_ns = measure(|| {
-            std::hint::black_box(executor.run_stream(jobs(), 1).expect("bench jobs execute"));
-        }) / LANES as f64;
-        let executor_lane_ns = measure(|| {
-            std::hint::black_box(
-                executor
-                    .run_stream(jobs(), LANES)
-                    .expect("bench jobs execute"),
-            );
-        }) / LANES as f64;
 
         let row = Row {
             op,
             scalar_ns,
             lane_ns,
-            executor_scalar_ns,
-            executor_lane_ns,
         };
         println!(
-            "{:<16} scalar {:>9.1} ns   lane {:>9.1} ns ({:>5.2}x)   executor scalar {:>9.1} ns   executor lane {:>9.1} ns ({:>5.2}x)",
+            "{:<16} scalar {:>9.1} ns   lane {:>9.1} ns ({:>5.2}x)",
             row.op,
             row.scalar_ns,
             row.lane_ns,
             row.lane_speedup(),
-            row.executor_scalar_ns,
-            row.executor_lane_ns,
-            row.executor_speedup(),
         );
         rows.push(row);
     }
-
-    // One instrumented lane-batched dispatch per op for the machine-readable
-    // summary: the same TelemetryReport JSON every instrumented consumer
-    // gets, instead of a hand-rolled writer.
-    let sink = TelemetrySink::new();
-    let instrumented = Executor::new(STREAM_BITS).with_telemetry(sink.clone());
-    for op in ["ca_max", "synchronizer_d1", "decorrelator_d4"] {
-        let plan = plan_for(op);
-        let jobs = (0..LANES).map(|_| StreamJob {
-            plan: Arc::clone(&plan),
-            input: BatchInput::with_streams(vec![x.clone(), y.clone()]),
-        });
-        instrumented
-            .run_stream(jobs, LANES)
-            .expect("bench jobs execute");
-    }
-    let telemetry = sink.drain().to_json();
 
     let doc = Json::obj(vec![
         ("stream_bits", Json::u64(STREAM_BITS as u64)),
         ("lanes", Json::u64(LANES as u64)),
         ("host", sc_bench::host_context()),
-        (
-            "unit",
-            Json::str(
-                "ns per stream, median of 9 samples; executor columns run 4 \
-                 same-class StreamJobs",
-            ),
-        ),
+        ("unit", Json::str("ns per stream, median of 9 samples")),
         (
             "results",
             Json::Arr(
@@ -262,15 +187,11 @@ fn main() {
                             ("scalar_ns", Json::fixed(row.scalar_ns, 1)),
                             ("lane_ns", Json::fixed(row.lane_ns, 1)),
                             ("lane_speedup", Json::fixed(row.lane_speedup(), 2)),
-                            ("executor_scalar_ns", Json::fixed(row.executor_scalar_ns, 1)),
-                            ("executor_lane_ns", Json::fixed(row.executor_lane_ns, 1)),
-                            ("executor_speedup", Json::fixed(row.executor_speedup(), 2)),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("telemetry", telemetry),
     ]);
     std::fs::write(&out_path, doc.to_string_pretty()).expect("write BENCH_lane_batch.json");
     println!("\nwrote {out_path}");
@@ -278,10 +199,10 @@ fn main() {
     // Acceptance bars, conservative halves of the measured gains so a noisy
     // shared 1-CPU runner still clears them (see BENCH_lane_batch.json for
     // the measured values on the development box).
-    for (required, lane_bar, exec_bar) in [
-        ("ca_max", 3.0, 1.5),
-        ("synchronizer_d1", 1.2, 1.0),
-        ("decorrelator_d4", 1.7, 1.3),
+    for (required, lane_bar) in [
+        ("ca_max", 3.0),
+        ("synchronizer_d1", 1.2),
+        ("decorrelator_d4", 1.7),
     ] {
         let row = rows
             .iter()
@@ -292,11 +213,6 @@ fn main() {
             "{required} kernel lane speedup {:.2}x is below the {lane_bar}x bar",
             row.lane_speedup()
         );
-        assert!(
-            row.executor_speedup() >= exec_bar,
-            "{required} executor transposition speedup {:.2}x is below the {exec_bar}x bar",
-            row.executor_speedup()
-        );
     }
-    println!("all lane kernels and the executor transposition meet their bars");
+    println!("all lane kernels meet their bars");
 }

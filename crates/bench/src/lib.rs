@@ -23,8 +23,8 @@
 //! `word_parallel_speedup` (`BENCH_word_parallel.json`, bit-serial vs
 //! word-parallel kernels, plus `u64×4` lane-group columns for the FSM
 //! laggards), `lane_batch_throughput` (`BENCH_lane_batch.json`, scalar vs
-//! lane-batched kernels vs the executor's same-class stream transposition
-//! for `ca_max`, `synchronizer_d1` and `decorrelator_d4`),
+//! lane-batched library kernels for `ca_max`, `synchronizer_d1` and
+//! `decorrelator_d4`),
 //! `graph_batch_throughput`
 //! (`BENCH_graph_batch.json`, sharded vs single-thread batch execution on
 //! the `sc_graph` engine), `tile_batch_throughput`

@@ -68,8 +68,7 @@ pub struct PassSet {
     /// (repair-placement pass).
     pub cost_repair: bool,
     /// Collapse linear spans into [`Step::Fused`] steps and manipulator
-    /// runs into chain steps (span-fusion pass; also requires the
-    /// deprecated [`PlannerOptions::fuse`] alias to stay `true`).
+    /// runs into chain steps (span-fusion pass).
     pub fusion: bool,
     /// Drop dead interior nodes — nodes no sink transitively consumes,
     /// including inputs of CSE-merged losers that lost their last consumer —
@@ -137,12 +136,6 @@ pub struct PlannerOptions {
     pub desynchronizer_depth: u32,
     /// Shuffle-buffer depth of auto-inserted decorrelators.
     pub decorrelator_depth: usize,
-    /// Deprecated alias for [`PassSet::fusion`], kept so callers predating
-    /// the pass pipeline keep compiling: fusion (manipulator chains and
-    /// span fusion alike) runs only when **both** this and
-    /// [`PlannerOptions::passes`]`.fusion` are `true`. New code should
-    /// leave this `true` and steer through `passes`.
-    pub fuse: bool,
     /// Measured-SCC feedback: when an operator's input pair has structural
     /// class [`SccClass::Unknown`], run a short [`sc_core::SccTracker`]-style
     /// probe execution of this length over representative inputs and use the
@@ -170,7 +163,6 @@ impl PartialEq for PlannerOptions {
             && self.synchronizer_depth == other.synchronizer_depth
             && self.desynchronizer_depth == other.desynchronizer_depth
             && self.decorrelator_depth == other.decorrelator_depth
-            && self.fuse == other.fuse
             && self.measure_unknown == other.measure_unknown
             && self.probe_value == other.probe_value
             && self.passes == other.passes
@@ -184,7 +176,6 @@ impl Default for PlannerOptions {
             synchronizer_depth: 1,
             desynchronizer_depth: 1,
             decorrelator_depth: 4,
-            fuse: true,
             measure_unknown: None,
             probe_value: 0.5,
             passes: PassSet::default(),
@@ -219,13 +210,6 @@ impl PlannerOptions {
             passes,
             ..PlannerOptions::default()
         }
-    }
-
-    /// Whether fusion actually runs: both the modern [`PassSet::fusion`]
-    /// switch and the deprecated [`PlannerOptions::fuse`] alias must be on.
-    #[must_use]
-    pub fn fusion_enabled(&self) -> bool {
-        self.fuse && self.passes.fusion
     }
 }
 
@@ -511,8 +495,8 @@ pub struct CompiledGraph {
     /// Template-class id: fresh per `compile` call, preserved by `Clone` and
     /// [`CompiledGraph::retarget_sources`]. Two plans of one class are
     /// structurally identical step for step (only their [`SourceSpec`]s may
-    /// differ), which is what lets the executor run same-class jobs in
-    /// lockstep lanes. The low bits encode [`PassSet::bits`].
+    /// differ), which is what per-class attribution keys on. The low bits
+    /// encode [`PassSet::bits`].
     class: u64,
 }
 
@@ -581,36 +565,14 @@ impl CompiledGraph {
     /// [`Graph::compile`] call and *shared* by every clone and
     /// [`CompiledGraph::retarget_sources`] copy of that plan. Plans of one
     /// class are structurally identical (same steps, slots, and scheduling;
-    /// only source seeding may differ), so the executor can transpose a
-    /// group of same-class jobs into lanes and step them in lockstep. The
-    /// low four bits encode the compiled [`PassSet`], so differently
-    /// optimized builds of one graph can never collide.
+    /// only source seeding may differ), so the executor and the telemetry
+    /// sink attribute job counts and latency per class: a report names
+    /// *which* compiled template is slow. The low four bits encode the
+    /// compiled [`PassSet`], so differently optimized builds of one graph
+    /// can never collide.
     #[must_use]
     pub fn plan_class(&self) -> u64 {
         self.class
-    }
-
-    /// Whether the plan contains at least one step with a lane-batched
-    /// kernel — a manipulator (solo or fused run), a saturating-counter FSM
-    /// activation, or a counter-based max/min — so grouping same-class jobs
-    /// into lanes can actually amortise an FSM dependency chain. Plans of
-    /// pure bitwise ops gain nothing from lane transposition (they are
-    /// already word-parallel) and are executed solo. Span fusion never
-    /// captures these step kinds, so the scan does not need to recurse into
-    /// [`Step::Fused`].
-    #[must_use]
-    pub fn lane_batchable(&self) -> bool {
-        self.steps.iter().any(|step| {
-            matches!(
-                step,
-                Step::Manipulate { .. }
-                    | Step::UnaryFsm { .. }
-                    | Step::Binary {
-                        op: BinaryOp::CaMax | BinaryOp::CaMin,
-                        ..
-                    }
-            )
-        })
     }
 
     /// Returns a copy of the plan with every stored [`SourceSpec`] rewritten
@@ -749,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_class_marks_templates_and_lane_batchable_plans() {
+    fn plan_class_marks_templates() {
         let build = || {
             let mut g = Graph::new();
             let x = g.generate(0, sobol(1));
@@ -762,8 +724,8 @@ mod tests {
         let a = build().compile(&PlannerOptions::default()).unwrap();
         let b = build().compile(&PlannerOptions::default()).unwrap();
         // Every compile mints a fresh class; clones and retargeted copies
-        // keep their template's class (that sharing is what the executor's
-        // lane grouping keys on).
+        // keep their template's class (that sharing is what per-class
+        // attribution keys on).
         assert_ne!(a.plan_class(), b.plan_class());
         assert_eq!(a.clone().plan_class(), a.plan_class());
         let retargeted = a.retarget_sources(|_| {
@@ -773,25 +735,6 @@ mod tests {
             })
         });
         assert_eq!(retargeted.plan_class(), a.plan_class());
-        // Manipulator steps make a plan lane batchable; a pure bitwise plan
-        // (CaAdd is correlation-agnostic, so no repair is inserted) is not.
-        assert!(a.lane_batchable());
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let y = g.generate(1, sobol(2));
-        let z = g.binary(BinaryOp::CaAdd, x, y);
-        g.sink_value("z", z);
-        let plain = g.compile(&PlannerOptions::default()).unwrap();
-        assert!(!plain.lane_batchable());
-        // Counter-based max and activation FSMs are lane batchable too.
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let t = g.stanh(3, x);
-        g.sink_value("t", t);
-        assert!(g
-            .compile(&PlannerOptions::default())
-            .unwrap()
-            .lane_batchable());
     }
 
     #[test]
@@ -1143,10 +1086,10 @@ mod tests {
         assert_eq!(plan.report().fused_runs, 1);
         // 2 inputs + 1 fused manipulator step + 2 sinks.
         assert_eq!(plan.step_count(), 5);
-        let unfused = g.compile(&PlannerOptions {
-            fuse: false,
-            ..PlannerOptions::default()
-        });
+        let unfused = g.compile(&PlannerOptions::with_passes(PassSet {
+            fusion: false,
+            ..PassSet::all()
+        }));
         assert_eq!(unfused.unwrap().step_count(), 7);
     }
 
@@ -1297,15 +1240,14 @@ mod tests {
     }
 
     #[test]
-    fn span_fusion_keeps_lane_batchable_steps_solo() {
-        // An FSM activation chain must not be captured by span fusion, or
-        // the executor's lane transposition would lose its targets.
+    fn span_fusion_keeps_fsm_steps_solo() {
+        // Span fusion leaves FSM activations unfused: absorbing them changes
+        // plan shapes, which needs its own measurement.
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         let t = g.stanh(3, x);
         g.sink_value("t", t);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
-        assert!(plan.lane_batchable());
         assert!(plan
             .steps()
             .iter()

@@ -4,13 +4,12 @@
 use crate::compile::{CompiledGraph, Step};
 use crate::draw::SampleMemo;
 use crate::graph::GraphError;
-use crate::node::BinaryOp;
 use sc_arith::add::mux_add;
 use sc_bitstream::{scc, Bitstream, Probability};
 use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
-use sc_core::{process_lane_pairs, CorrelationManipulator, LaneChain, ManipulatorChain, LANES};
+use sc_core::{CorrelationManipulator, ManipulatorChain};
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
@@ -234,11 +233,11 @@ impl std::fmt::Debug for WorkerPool {
 /// One owned job of a streaming [`Executor::run_stream`] dispatch: a shared
 /// handle to the compiled plan plus the input set to feed it.
 ///
-/// Jobs are owned (unlike the borrowed [`ExecJob`]) because the streaming
-/// engine hands them to long-lived pool threads: the job — and with it the
-/// plan handle — is dropped on the worker *before* its result is reported,
-/// so a bounded submission window really does bound the number of
-/// simultaneously-live plans.
+/// Jobs are owned because the streaming engine hands them to long-lived pool
+/// threads: the job — and with it the plan handle — is dropped on the worker
+/// *before* its result is reported, so a bounded submission window really
+/// does bound the number of simultaneously-live plans. Every job executes
+/// on its own, against its own plan.
 #[derive(Debug, Clone)]
 pub struct StreamJob {
     /// The compiled plan to execute.
@@ -251,44 +250,27 @@ pub struct StreamJob {
 ///
 /// When the executor carries an enabled [`TelemetrySink`]
 /// ([`Executor::with_telemetry`]), these same tallies are also added to the
-/// sink's counters (`jobs` → [`Counter::JobsPulled`], the path split →
-/// [`Counter::LaneBatchedJobs`] / [`Counter::ScalarJobs`], the fill array →
-/// the sink's lane-fill distribution) in one batch at the end of the call —
-/// `StreamStats` is the per-call view and the sink is the cumulative view of
-/// **one** set of tallies, so the two reporting paths cannot drift. The same
-/// holds per plan class: the [`StreamStats::classes`] breakdown is flushed
-/// into the sink's bounded class table at the end of the call.
+/// sink in one batch at the end of the call (`jobs` →
+/// [`Counter::JobsPulled`], the per-class job counts → the sink's bounded
+/// class table) — `StreamStats` is the per-call view and the sink is the
+/// cumulative view of **one** set of tallies, so the two cannot drift.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Total jobs pulled from the iterator.
     pub jobs: usize,
     /// Peak number of jobs *in flight* — pulled from the iterator but not
     /// yet completed (executed inline, or reported back by a worker). This
-    /// is **exact** on both dispatch paths, jobs buffered for lane grouping
-    /// included, and it never exceeds `window.max(1)` — on the error path
-    /// too — which is what makes the bound useful: each worker drops its
-    /// job (and plan handle) before reporting, so live-plan memory is
-    /// provably O(window).
+    /// is **exact** on both dispatch paths and never exceeds
+    /// `window.max(1)` — on the error path too — which is what makes the
+    /// bound useful: each worker drops its job (and plan handle) before
+    /// reporting, so live-plan memory is provably O(window).
     pub peak_in_flight: usize,
-    /// Jobs executed through the lane-batched lockstep path: groups of ≥ 2
-    /// jobs sharing a [`CompiledGraph::plan_class`] whose streams were
-    /// transposed into lanes at every FSM-bearing step.
+    /// Always zero. Every job executes on its own; the field is kept only
+    /// because the repository benchmark (`perfbench/`) still reads it.
     pub lane_batched_jobs: usize,
-    /// Jobs executed solo through the scalar per-job path (plans without
-    /// lane-batchable steps, windows of 1, or leftover groups of 1).
-    pub scalar_jobs: usize,
-    /// How full the executed lane groups were: `lane_group_fill[k]` counts
-    /// bucket-origin groups of `k + 1` jobs (so `lane_group_fill[0]` counts
-    /// leftover singleton flushes, which execute scalar). Only jobs that
-    /// entered a per-class bucket are counted; non-batchable jobs never
-    /// appear here. Invariant: `lane_batched_jobs` = Σ over `k ≥ 1` of
-    /// `(k + 1) · lane_group_fill[k]`.
-    pub lane_group_fill: [usize; LANES],
-    /// The same execution tallies keyed by [`CompiledGraph::plan_class`],
-    /// in class-id order — so a caller can see *which* compiled class took
-    /// the scalar path or under-filled its lane groups. Invariants: the
-    /// per-class `lane_batched_jobs` / `scalar_jobs` / `lane_group_fill`
-    /// sum (over classes) to the global fields above.
+    /// Jobs per [`CompiledGraph::plan_class`], in class-id order — so a
+    /// caller can see *which* compiled template the dispatch ran. The
+    /// per-class `jobs` sum to [`StreamStats::jobs`].
     pub classes: Vec<PlanClassStats>,
 }
 
@@ -297,36 +279,21 @@ pub struct StreamStats {
 pub struct PlanClassStats {
     /// The [`CompiledGraph::plan_class`] these tallies belong to.
     pub plan_class: u64,
-    /// Jobs of this class executed through the lane-batched lockstep path.
-    pub lane_batched_jobs: usize,
-    /// Jobs of this class executed through the scalar path.
-    pub scalar_jobs: usize,
-    /// Lane-group fill distribution for this class (bucket-origin groups
-    /// only, like the global array).
-    pub lane_group_fill: [usize; LANES],
-}
-
-impl PlanClassStats {
-    /// Total jobs of this class the dispatch executed.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.lane_batched_jobs + self.scalar_jobs
-    }
+    /// Jobs of this class the dispatch executed.
+    pub jobs: usize,
 }
 
 impl StreamStats {
-    /// The per-class tally for `plan_class`, created on first sight. The
-    /// class list is tiny (one entry per distinct compiled template in the
-    /// dispatch), so a linear scan beats hashing.
-    fn class_mut(&mut self, plan_class: u64) -> &mut PlanClassStats {
-        if let Some(i) = self.classes.iter().position(|c| c.plan_class == plan_class) {
-            &mut self.classes[i]
-        } else {
-            self.classes.push(PlanClassStats {
+    /// Counts one job of `plan_class`. The class list is tiny (one entry
+    /// per distinct compiled template in the dispatch), so a linear scan
+    /// beats hashing.
+    fn count_class(&mut self, plan_class: u64) {
+        match self.classes.iter_mut().find(|c| c.plan_class == plan_class) {
+            Some(class) => class.jobs += 1,
+            None => self.classes.push(PlanClassStats {
                 plan_class,
-                ..PlanClassStats::default()
-            });
-            self.classes.last_mut().expect("just pushed")
+                jobs: 1,
+            }),
         }
     }
 }
@@ -339,8 +306,8 @@ impl StreamStats {
 /// runs on a lazily-spawned persistent [`WorkerPool`] (no external
 /// dependencies) that lives as long as the executor, so back-to-back calls
 /// reuse warm threads. The core engine is [`Executor::run_stream`]:
-/// [`Executor::run_batch`] and [`Executor::run_group`] are thin wrappers
-/// that stream their materialised job lists with an unbounded window.
+/// [`Executor::run_batch`] is a thin wrapper that streams its materialised
+/// job list with an unbounded window.
 #[derive(Debug, Clone)]
 pub struct Executor {
     stream_length: usize,
@@ -388,9 +355,9 @@ impl Executor {
     }
 
     /// Attaches a [`TelemetrySink`]: subsequent dispatches record per-stage
-    /// spans (dispatch, lane-group/scalar execute, worker park/run,
-    /// de-transpose), counters, window-occupancy and queue-depth gauges, and
-    /// job-latency histograms into it. The default sink is a no-op;
+    /// spans (dispatch, per-job execute, worker park/run), counters,
+    /// window-occupancy and queue-depth gauges, and job-latency histograms
+    /// into it. The default sink is a no-op;
     /// instrumentation sits at step/job granularity, never inside the word
     /// kernels. Resets any already-spawned pool so its workers record into
     /// the new sink.
@@ -475,11 +442,9 @@ fn execute_plan(
     Ok(env.out)
 }
 
-/// Executes one plan step against one job's environment — the scalar
-/// single-lane unit both [`execute_plan`] and the lockstep group engine
-/// ([`execute_plan_group`]) are built from. Every random sample comes from
-/// `memo`, and every D/S conversion or MUX select is built a word at a time
-/// by comparing against those samples.
+/// Executes one plan step against one job's environment. Every random
+/// sample comes from `memo`, and every D/S conversion or MUX select is built
+/// a word at a time by comparing against those samples.
 fn execute_step(
     n: usize,
     step: &Step,
@@ -676,189 +641,7 @@ fn execute_step(
     Ok(())
 }
 
-/// Marks lanes whose step operands differ in length as failed — exactly the
-/// error the scalar path would report for that job — and returns the
-/// still-live subset, which is safe to feed to a lane kernel.
-fn check_pair_lengths(
-    envs: &[ExecEnv],
-    errs: &mut [Option<GraphError>],
-    alive: &[usize],
-    x: usize,
-    y: usize,
-) -> Vec<usize> {
-    let mut live = Vec::with_capacity(alive.len());
-    for &l in alive {
-        let (sx, sy) = (slot(&envs[l].slots, x), slot(&envs[l].slots, y));
-        if sx.len() == sy.len() {
-            live.push(l);
-        } else {
-            errs[l] = Some(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
-                left: sx.len(),
-                right: sy.len(),
-            }));
-        }
-    }
-    live
-}
-
-/// Executes a group of 2..=[`LANES`] jobs sharing one
-/// [`CompiledGraph::plan_class`] in lockstep: all jobs advance through the
-/// step list together, and at every FSM-bearing step — manipulator runs,
-/// saturating-counter activations, counter-based max/min — the group's
-/// streams are transposed into lanes and stepped through one lane-batched
-/// kernel pass, so the lanes' serial FSM chains interleave instead of
-/// running back to back. Every other step runs scalar per lane against that
-/// lane's *own* plan, which is what keeps retargeted same-class templates
-/// (identical structure, per-tile sources) correct.
-///
-/// Per-job results are bit-identical to [`execute_plan`] on each job alone:
-/// the lane kernels are pinned bit-identical to their solo circuits, and a
-/// lane that fails mid-plan simply drops out (`valid = 0`-style) with the
-/// same first error the scalar path reports, without disturbing its peers.
-///
-/// Records one [`Stage::LaneGroupExecute`] span (argument = group fill) with
-/// a nested [`Stage::DeTranspose`] span around the per-lane result
-/// re-assembly, and observes the group's duration once per member job in
-/// [`Hist::JobLatencyNs`] — the group *is* each member's latency, since the
-/// lanes finish together.
-pub(crate) fn execute_plan_group(
-    n: usize,
-    group: &[StreamJob],
-    telemetry: &TelemetrySink,
-) -> Vec<Result<ExecOutput, GraphError>> {
-    let span = telemetry.span_with(Stage::LaneGroupExecute, group.len() as u64);
-    debug_assert!(
-        (2..=LANES).contains(&group.len()),
-        "lane group size {} outside 2..={LANES}",
-        group.len()
-    );
-    debug_assert!(
-        group
-            .iter()
-            .all(|job| job.plan.plan_class() == group[0].plan.plan_class()),
-        "lane groups must share one plan class"
-    );
-    let mut envs: Vec<ExecEnv> = group
-        .iter()
-        .map(|job| ExecEnv::new(job.plan.slot_count))
-        .collect();
-    let mut errs: Vec<Option<GraphError>> = (0..group.len()).map(|_| None).collect();
-    // One memo for the whole group: same-class tiles share most sources.
-    let mut memo = SampleMemo::default();
-    for i in 0..group[0].plan.steps.len() {
-        let alive: Vec<usize> = (0..group.len()).filter(|&l| errs[l].is_none()).collect();
-        if alive.is_empty() {
-            break;
-        }
-        // Same-class plans are structurally identical, so the lane-batched
-        // arms read the shared structure (slot indices, manipulator kinds,
-        // operators) from lane 0's step; the scalar arm runs each lane's own
-        // step so per-lane `SourceSpec`s are honoured.
-        match &group[0].plan.steps[i] {
-            Step::Manipulate {
-                kinds,
-                x,
-                y,
-                dst_x,
-                dst_y,
-            } => {
-                let live = check_pair_lengths(&envs, &mut errs, &alive, *x, *y);
-                if live.is_empty() {
-                    continue;
-                }
-                let mut chain = LaneChain::new();
-                for kind in kinds {
-                    chain.push_boxed(kind.build_lanes(live.len()));
-                }
-                let processed = {
-                    let pairs: Vec<(&Bitstream, &Bitstream)> = live
-                        .iter()
-                        .map(|&l| (slot(&envs[l].slots, *x), slot(&envs[l].slots, *y)))
-                        .collect();
-                    process_lane_pairs(&mut chain, &pairs).expect("pair lengths pre-checked")
-                };
-                for (&l, (ox, oy)) in live.iter().zip(processed) {
-                    envs[l].slots[*dst_x] = Some(ox);
-                    envs[l].slots[*dst_y] = Some(oy);
-                }
-            }
-            Step::Binary {
-                op: op @ (BinaryOp::CaMax | BinaryOp::CaMin),
-                x,
-                y,
-                dst,
-            } => {
-                let live = check_pair_lengths(&envs, &mut errs, &alive, *x, *y);
-                if live.is_empty() {
-                    continue;
-                }
-                let results = {
-                    let pairs: Vec<(&Bitstream, &Bitstream)> = live
-                        .iter()
-                        .map(|&l| (slot(&envs[l].slots, *x), slot(&envs[l].slots, *y)))
-                        .collect();
-                    match op {
-                        BinaryOp::CaMax => sc_arith::maxmin::ca_max_lanes(&pairs),
-                        _ => sc_arith::maxmin::ca_min_lanes(&pairs),
-                    }
-                    .expect("pair lengths pre-checked")
-                };
-                for (&l, z) in live.iter().zip(results) {
-                    envs[l].slots[*dst] = Some(z);
-                }
-            }
-            Step::UnaryFsm { op, src, dst } => {
-                let results = {
-                    let inputs: Vec<&Bitstream> =
-                        alive.iter().map(|&l| slot(&envs[l].slots, *src)).collect();
-                    match op {
-                        crate::node::UnaryFsmOp::Stanh { half_states } => {
-                            sc_arith::fsm_ops::stanh_lanes(&inputs, *half_states)
-                        }
-                        crate::node::UnaryFsmOp::Slinear { states } => {
-                            sc_arith::fsm_ops::slinear_lanes(&inputs, *states)
-                        }
-                    }
-                };
-                for (&l, z) in alive.iter().zip(results) {
-                    envs[l].slots[*dst] = Some(z);
-                }
-            }
-            _ => {
-                for &l in &alive {
-                    let job = &group[l];
-                    if let Err(e) =
-                        execute_step(n, &job.plan.steps[i], &job.input, &mut envs[l], &mut memo)
-                    {
-                        errs[l] = Some(e);
-                    }
-                }
-            }
-        }
-    }
-    let results = {
-        let _detranspose = telemetry.span(Stage::DeTranspose);
-        errs.into_iter()
-            .zip(envs)
-            .map(|(err, env)| match err {
-                Some(e) => Err(e),
-                None => Ok(env.out),
-            })
-            .collect()
-    };
-    memo.flush(telemetry);
-    let dur_ns = span.finish();
-    if telemetry.is_enabled() {
-        let class = group[0].plan.plan_class();
-        for _ in 0..group.len() {
-            telemetry.observe(Hist::JobLatencyNs, dur_ns);
-            telemetry.class_latency(class, dur_ns);
-        }
-    }
-    results
-}
-
-/// Executes one job solo under a [`Stage::ScalarExecute`] span, observing
+/// Executes one job under a [`Stage::ScalarExecute`] span, observing
 /// its duration in [`Hist::JobLatencyNs`] (globally and keyed by the job's
 /// plan class).
 pub(crate) fn execute_job_scalar(
@@ -917,9 +700,7 @@ impl Executor {
         plan: &CompiledGraph,
         inputs: &[BatchInput],
     ) -> Result<Vec<ExecOutput>, GraphError> {
-        // Always route through the streaming engine — even single-threaded —
-        // so a lane-batchable plan's jobs group into lockstep lanes (one
-        // deep plan clone, shared by every job).
+        // One deep plan clone, shared by every job.
         let plan = Arc::new(plan.clone());
         self.run_stream(
             inputs.iter().map(|input| StreamJob {
@@ -927,47 +708,6 @@ impl Executor {
                 input: input.clone(),
             }),
             inputs.len().max(1),
-        )
-    }
-
-    /// Executes a heterogeneous group of `(plan, input)` jobs in one
-    /// dispatch, preserving job order.
-    ///
-    /// This is the cross-plan generalisation of [`Executor::run_batch`]: a
-    /// whole image's tiles, each compiled (or retargeted) to its own plan,
-    /// can saturate the worker pool in a single call instead of serialising
-    /// per-plan batches. Like `run_batch` it is a thin wrapper over the
-    /// [`Executor::run_stream`] engine with an unbounded window — every
-    /// job's plan stays live for the whole call; use `run_stream` with a
-    /// bounded window (and a lazy job iterator) to cap that memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-job (in job order) error
-    /// (see [`Executor::run`]).
-    ///
-    /// # Panics
-    ///
-    /// If an execution panics on a worker thread, the original panic payload
-    /// is resumed on the caller's thread.
-    pub fn run_group(&self, jobs: &[ExecJob<'_>]) -> Result<Vec<ExecOutput>, GraphError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Jobs referencing the same plan (a retargeted class template shared
-        // across tiles, say) share one owned clone, keyed by referent
-        // address: the deep-clone count is O(distinct plans), not O(jobs).
-        let mut shared: HashMap<*const CompiledGraph, Arc<CompiledGraph>> = HashMap::new();
-        self.run_stream(
-            jobs.iter().map(move |job| StreamJob {
-                plan: Arc::clone(
-                    shared
-                        .entry(std::ptr::from_ref(job.plan))
-                        .or_insert_with(|| Arc::new(job.plan.clone())),
-                ),
-                input: job.input.clone(),
-            }),
-            jobs.len().max(1),
         )
     }
 
@@ -1001,20 +741,9 @@ impl Executor {
     /// are bit-identical at any worker count and any window, because every
     /// job executes with fresh deterministic sources and FSMs.
     ///
-    /// With one configured thread the jobs run inline on the caller's
-    /// thread (at most `window` planned jobs live at a time), which is also
-    /// the sequential reference the parallel path is tested against.
-    ///
-    /// **Lane batching.** On both paths, jobs whose plans are
-    /// [`CompiledGraph::lane_batchable`] buffer into per-class buckets
-    /// (windows of ≥ 2 only): when [`sc_core::LANES`] jobs of one
-    /// [`CompiledGraph::plan_class`] are in flight — the tiled-pipeline
-    /// common case, where one compiled template is retargeted across
-    /// tiles — the group executes in lockstep, transposing its streams into
-    /// lanes at every FSM-bearing step so the lanes' serial dependency
-    /// chains interleave. Results stay bit-identical to solo execution at
-    /// any thread count, window, and grouping; [`StreamStats`] reports how
-    /// many jobs took each path.
+    /// With one configured thread each job runs inline on the caller's
+    /// thread as it is pulled, which is also the sequential reference the
+    /// parallel path is tested against. Every job executes on its own.
     ///
     /// # Errors
     ///
@@ -1036,154 +765,44 @@ impl Executor {
         I: IntoIterator<Item = StreamJob>,
     {
         let window = window.max(1);
-        let mut jobs = jobs.into_iter();
+        // Fused: the loop may ask again after the iterator first ran dry.
+        let mut jobs = jobs.into_iter().fuse();
         let mut stats = StreamStats::default();
         let n = self.stream_length;
         let telemetry = &self.telemetry;
         let _dispatch = telemetry.span(Stage::Dispatch);
-
-        if self.threads <= 1 {
-            // Inline sequential path with a bounded look-ahead: lane-batchable
-            // jobs buffer into per-class buckets (at most `window` of them
-            // pending) and execute as lockstep lane groups when a bucket
-            // fills; everything else runs solo on the spot. In-flight is
-            // counted like the pool path — `pulled - completed`, sampled
-            // after every pull — so `peak_in_flight` is exact: a scalar job
-            // is in flight (on top of the buffered jobs) while it executes,
-            // and a buffered job counts from its pull to its group's flush.
-            let mut slots: Vec<Option<Result<ExecOutput, GraphError>>> = Vec::new();
-            let mut buckets: HashMap<u64, Vec<(usize, StreamJob)>> = HashMap::new();
-            let mut pulled = 0usize;
-            let mut completed = 0usize;
-            let mut exhausted = false;
-            let mut failed = false;
-            loop {
-                while !exhausted && !failed && pulled - completed < window {
-                    match jobs.next() {
-                        Some(job) => {
-                            let index = pulled;
-                            pulled += 1;
-                            slots.push(None);
-                            let in_flight = pulled - completed;
-                            stats.peak_in_flight = stats.peak_in_flight.max(in_flight);
-                            telemetry.gauge_set(Gauge::WindowOccupancy, in_flight as u64);
-                            telemetry.observe(Hist::WindowOccupancy, in_flight as u64);
-                            if window >= 2 && job.plan.lane_batchable() {
-                                let class = job.plan.plan_class();
-                                let bucket = buckets.entry(class).or_default();
-                                bucket.push((index, job));
-                                if bucket.len() == LANES {
-                                    let group = buckets.remove(&class).expect("bucket just filled");
-                                    completed += group.len();
-                                    failed |= run_group_inline(
-                                        n, group, &mut slots, &mut stats, telemetry,
-                                    );
-                                }
-                            } else {
-                                stats.scalar_jobs += 1;
-                                stats.class_mut(job.plan.plan_class()).scalar_jobs += 1;
-                                let result = execute_job_scalar(n, &job, telemetry);
-                                failed |= result.is_err();
-                                slots[index] = Some(result);
-                                completed += 1;
-                            }
-                        }
-                        None => exhausted = true,
-                    }
-                }
-                // No more jobs can be pulled (look-ahead full, iterator done,
-                // or a job failed): flush the bucket holding the oldest
-                // pending job so the engine always makes progress.
-                let Some(class) = oldest_bucket(&buckets) else {
-                    break;
-                };
-                let group = buckets.remove(&class).expect("oldest bucket exists");
-                completed += group.len();
-                failed |= run_group_inline(n, group, &mut slots, &mut stats, telemetry);
-            }
-            stats.jobs = pulled;
-            stats.classes.sort_by_key(|c| c.plan_class);
-            record_stream_totals(telemetry, &stats, &slots);
-            let mut outputs = Vec::with_capacity(slots.len());
-            for slot in slots {
-                outputs.push(slot.expect("every pulled job was executed")?);
-            }
-            return Ok((outputs, stats));
-        }
-
-        let pool = self.pool();
+        // One thread means no pool: the caller executes each job as it is
+        // dispatched, so the window never holds more than that one job.
+        let pool = (self.threads > 1).then(|| self.pool());
         let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
         let mut slots: Vec<Option<Result<ExecOutput, GraphError>>> = Vec::new();
-        let mut buckets: HashMap<u64, Vec<(usize, StreamJob)>> = HashMap::new();
         let mut pulled = 0usize;
-        let mut submitted = 0usize;
         let mut completed = 0usize;
-        let mut exhausted = false;
         let mut failed = false;
-        // Counts the submission so the flush logic can tell buffered jobs
-        // from ones already on the pool; the pool-side task itself lives in
-        // [`submit_group_to_pool`]. `grouped` marks bucket-origin groups
-        // (lane fill is a grouping metric, so direct scalar submissions stay
-        // out of the fill distribution).
-        let submit_group = |group: Vec<(usize, StreamJob)>,
-                            stats: &mut StreamStats,
-                            submitted: &mut usize,
-                            grouped: bool| {
-            *submitted += group.len();
-            if grouped {
-                stats.lane_group_fill[(group.len() - 1).min(LANES - 1)] += 1;
-            }
-            if group.len() >= 2 {
-                stats.lane_batched_jobs += group.len();
-            } else {
-                stats.scalar_jobs += group.len();
-            }
-            let entry = stats.class_mut(group[0].1.plan.plan_class());
-            if grouped {
-                entry.lane_group_fill[(group.len() - 1).min(LANES - 1)] += 1;
-            }
-            if group.len() >= 2 {
-                entry.lane_batched_jobs += group.len();
-            } else {
-                entry.scalar_jobs += group.len();
-            }
-            submit_group_to_pool(&pool, &tx, n, group, telemetry);
-        };
         loop {
-            while !exhausted && !failed && pulled - completed < window {
-                match jobs.next() {
-                    Some(job) => {
-                        let index = pulled;
-                        pulled += 1;
-                        slots.push(None);
-                        let in_flight = pulled - completed;
-                        stats.peak_in_flight = stats.peak_in_flight.max(in_flight);
-                        telemetry.gauge_set(Gauge::WindowOccupancy, in_flight as u64);
-                        telemetry.observe(Hist::WindowOccupancy, in_flight as u64);
-                        if window >= 2 && job.plan.lane_batchable() {
-                            let class = job.plan.plan_class();
-                            let bucket = buckets.entry(class).or_default();
-                            bucket.push((index, job));
-                            if bucket.len() == LANES {
-                                let group = buckets.remove(&class).expect("bucket just filled");
-                                submit_group(group, &mut stats, &mut submitted, true);
-                            }
-                        } else {
-                            submit_group(vec![(index, job)], &mut stats, &mut submitted, false);
-                        }
+            while !failed && pulled - completed < window {
+                let Some(job) = jobs.next() else { break };
+                let index = pulled;
+                pulled += 1;
+                slots.push(None);
+                let in_flight = pulled - completed;
+                stats.peak_in_flight = stats.peak_in_flight.max(in_flight);
+                telemetry.gauge_set(Gauge::WindowOccupancy, in_flight as u64);
+                telemetry.observe(Hist::WindowOccupancy, in_flight as u64);
+                stats.count_class(job.plan.plan_class());
+                match &pool {
+                    Some(pool) => {
+                        let tx = tx.clone();
+                        submit_job(pool, n, job, telemetry, move |outcome| {
+                            let _ = tx.send((index, outcome));
+                        });
                     }
-                    None => exhausted = true,
-                }
-            }
-            // Nothing more can be pulled. Once no further pulls will come
-            // (iterator done / a job failed) — or every submitted job has
-            // already reported, so waiting would deadlock on the buffered
-            // jobs — flush the partial buckets to the pool.
-            if exhausted || failed || submitted == completed {
-                let classes: Vec<u64> = buckets.keys().copied().collect();
-                for class in classes {
-                    let group = buckets.remove(&class).expect("listed bucket exists");
-                    submit_group(group, &mut stats, &mut submitted, true);
+                    None => {
+                        let result = execute_job_scalar(n, &job, telemetry);
+                        completed += 1;
+                        failed |= result.is_err();
+                        slots[index] = Some(result);
+                    }
                 }
             }
             if completed == pulled {
@@ -1210,7 +829,7 @@ impl Executor {
         record_stream_totals(telemetry, &stats, &slots);
         let mut outputs = Vec::with_capacity(slots.len());
         for slot in slots {
-            outputs.push(slot.expect("every submitted job was drained")?);
+            outputs.push(slot.expect("every pulled job was executed")?);
         }
         Ok((outputs, stats))
     }
@@ -1230,156 +849,37 @@ fn record_stream_totals(
         return;
     }
     telemetry.add(Counter::JobsPulled, stats.jobs as u64);
-    telemetry.add(Counter::LaneBatchedJobs, stats.lane_batched_jobs as u64);
-    telemetry.add(Counter::ScalarJobs, stats.scalar_jobs as u64);
     let failures = slots
         .iter()
         .filter(|slot| matches!(slot, Some(Err(_))))
         .count();
     telemetry.add(Counter::JobsFailed, failures as u64);
-    for (i, &count) in stats.lane_group_fill.iter().enumerate() {
-        telemetry.lane_fill_n(i + 1, count as u64);
-    }
     for class in &stats.classes {
-        telemetry.class_add_jobs(
-            class.plan_class,
-            class.lane_batched_jobs as u64,
-            class.scalar_jobs as u64,
-        );
-        for (i, &count) in class.lane_group_fill.iter().enumerate() {
-            telemetry.class_fill_n(class.plan_class, i + 1, count as u64);
-        }
+        telemetry.class_add_jobs(class.plan_class, class.jobs as u64);
     }
 }
 
 /// Outcome of one pool-executed job: the worker's `catch_unwind` result
 /// around the job's execution result.
-type JobOutcome = std::thread::Result<Result<ExecOutput, GraphError>>;
+pub(crate) type JobOutcome = std::thread::Result<Result<ExecOutput, GraphError>>;
 
-/// Submits one group of `(index, job)` pairs to the pool as a single task:
-/// the task wraps the whole group in one `catch_unwind` (lane-batched when
-/// the group holds ≥ 2 jobs, scalar otherwise) and reports each job's
-/// outcome individually. On a panic the group's first index carries the
-/// payload — the caller resumes it immediately, so the remaining slots never
-/// matter.
-fn submit_group_to_pool(
+/// Submits one job to the pool as a single task that executes it under
+/// `catch_unwind` and hands the outcome to `report`. The job — and its plan
+/// handle — is dropped *before* the outcome is reported, so the caller
+/// cannot over-fill its window while plans linger on workers.
+pub(crate) fn submit_job(
     pool: &WorkerPool,
-    tx: &mpsc::Sender<(usize, JobOutcome)>,
     n: usize,
-    group: Vec<(usize, StreamJob)>,
+    job: StreamJob,
     telemetry: &TelemetrySink,
+    report: impl FnOnce(JobOutcome) + Send + 'static,
 ) {
-    let tx = tx.clone();
     let telemetry = telemetry.clone();
     pool.submit(Box::new(move || {
-        let (indices, jobs): (Vec<usize>, Vec<StreamJob>) = group.into_iter().unzip();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if jobs.len() >= 2 {
-                execute_plan_group(n, &jobs, &telemetry)
-            } else {
-                jobs.iter()
-                    .map(|job| execute_job_scalar(n, job, &telemetry))
-                    .collect()
-            }
-        }));
-        // Free the jobs — and their plan handles — *before* the results
-        // become visible, so the caller cannot over-fill the window while
-        // plans linger on workers.
-        drop(jobs);
-        match outcome {
-            Ok(results) => {
-                for (index, result) in indices.into_iter().zip(results) {
-                    let _ = tx.send((index, Ok(result)));
-                }
-            }
-            Err(payload) => {
-                let _ = tx.send((indices[0], Err(payload)));
-            }
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| execute_job_scalar(n, &job, &telemetry)));
+        drop(job);
+        report(outcome);
     }));
-}
-
-/// The bucket class holding the smallest pending job index, if any bucket is
-/// non-empty — the flush order that keeps inline lane grouping fair to the
-/// oldest jobs.
-fn oldest_bucket(buckets: &HashMap<u64, Vec<(usize, StreamJob)>>) -> Option<u64> {
-    buckets
-        .iter()
-        .min_by_key(|(_, group)| group.first().map_or(usize::MAX, |(index, _)| *index))
-        .map(|(&class, _)| class)
-}
-
-/// Executes one buffered group on the caller's thread — lane-batched when it
-/// holds ≥ 2 jobs, scalar otherwise — filling each job's result slot.
-/// Returns whether any job in the group failed.
-fn run_group_inline(
-    n: usize,
-    group: Vec<(usize, StreamJob)>,
-    slots: &mut [Option<Result<ExecOutput, GraphError>>],
-    stats: &mut StreamStats,
-    telemetry: &TelemetrySink,
-) -> bool {
-    let (indices, jobs): (Vec<usize>, Vec<StreamJob>) = group.into_iter().unzip();
-    stats.lane_group_fill[(jobs.len() - 1).min(LANES - 1)] += 1;
-    let entry = stats.class_mut(jobs[0].plan.plan_class());
-    entry.lane_group_fill[(jobs.len() - 1).min(LANES - 1)] += 1;
-    if jobs.len() >= 2 {
-        entry.lane_batched_jobs += jobs.len();
-    } else {
-        entry.scalar_jobs += jobs.len();
-    }
-    let results = if jobs.len() >= 2 {
-        stats.lane_batched_jobs += jobs.len();
-        execute_plan_group(n, &jobs, telemetry)
-    } else {
-        stats.scalar_jobs += jobs.len();
-        jobs.iter()
-            .map(|job| execute_job_scalar(n, job, telemetry))
-            .collect()
-    };
-    let mut failed = false;
-    for (index, result) in indices.into_iter().zip(results) {
-        failed |= result.is_err();
-        slots[index] = Some(result);
-    }
-    failed
-}
-
-/// One `(plan, input)` pairing of a heterogeneous [`Executor::run_group`]
-/// dispatch.
-#[derive(Clone, Copy)]
-pub struct ExecJob<'a> {
-    /// The compiled plan to execute.
-    pub plan: &'a CompiledGraph,
-    /// The input set to feed it.
-    pub input: &'a BatchInput,
-}
-
-/// Splits `0..len` into exactly `min(workers, len).max(1)` contiguous spans
-/// whose lengths differ by at most one.
-///
-/// This replaces `chunks(len.div_ceil(workers))` sharding, which could
-/// produce *fewer* chunks than workers and leave the rest idle: 9 inputs on
-/// 8 threads made five 2-item chunks — three idle workers and a ~2× tail
-/// latency — where this division makes eight chunks of 1–2 items. The
-/// per-job streaming engine made it obsolete as the internal dispatch
-/// mechanism, but it remains the canonical work division for callers that
-/// shard contiguous index ranges themselves (benchmark harnesses, external
-/// batch splitters).
-#[must_use]
-pub fn balanced_spans(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let chunks = workers.min(len).max(1);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut spans = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        spans.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    spans
 }
 
 /// Applies a binary operator through the `sc_arith` word-parallel kernels.
@@ -1407,7 +907,7 @@ fn apply_binary(
 mod tests {
     use super::*;
     use crate::node::{BinaryOp, ManipulatorKind};
-    use crate::{Graph, PlannerOptions};
+    use crate::{Graph, PassSet, PlannerOptions};
     use proptest::prelude::*;
     use sc_rng::{RandomSource, SourceSpec};
 
@@ -1519,10 +1019,10 @@ mod tests {
         g.sink_stream("y", b1);
         let fused = g.compile(&PlannerOptions::default()).unwrap();
         let unfused = g
-            .compile(&PlannerOptions {
-                fuse: false,
-                ..PlannerOptions::default()
-            })
+            .compile(&PlannerOptions::with_passes(PassSet {
+                fusion: false,
+                ..PassSet::all()
+            }))
             .unwrap();
         let input = BatchInput::with_streams(vec![
             Bitstream::from_fn(301, |i| (i * 7 + 1) % 3 == 0),
@@ -1847,43 +1347,6 @@ mod tests {
         assert!(matches!(err, GraphError::ValueSlotOutOfRange { .. }));
     }
 
-    /// Work is divided into exactly `min(workers, len)` near-equal spans:
-    /// the awkward sizes that used to strand workers idle (9 inputs on 8
-    /// threads → five `div_ceil`-sized chunks, three idle threads) now
-    /// produce one span per worker, covering `0..len` in order.
-    #[test]
-    fn balanced_spans_use_every_worker() {
-        for (len, workers) in [
-            (9usize, 8usize),
-            (17, 16),
-            (65, 64),
-            (13, 4),
-            (8, 8),
-            (3, 8),
-        ] {
-            let spans = balanced_spans(len, workers);
-            assert_eq!(
-                spans.len(),
-                workers.min(len),
-                "chunk count for {len} items on {workers} workers"
-            );
-            let sizes: Vec<usize> = spans.iter().map(|s| s.end - s.start).collect();
-            let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-            assert!(min >= 1, "{len}/{workers}: no empty spans");
-            assert!(
-                max - min <= 1,
-                "{len}/{workers}: near-equal sizes {sizes:?}"
-            );
-            let mut next = 0;
-            for span in &spans {
-                assert_eq!(span.start, next, "{len}/{workers}: contiguous in order");
-                next = span.end;
-            }
-            assert_eq!(next, len, "{len}/{workers}: full coverage");
-        }
-        assert!(balanced_spans(0, 4).len() == 1 && balanced_spans(0, 4)[0].is_empty());
-    }
-
     /// A poisoned `InputStream` (length mismatch) on one shard must surface
     /// as an error — not a panic — while a run without the poisoned item
     /// keeps every shard's results in input order.
@@ -1920,46 +1383,6 @@ mod tests {
         let mut sorted = counts.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(counts, sorted, "per-item counts grow with input index");
-    }
-
-    /// Heterogeneous dispatch: different plans in one sharded call produce
-    /// exactly what running each plan alone produces, in job order, at any
-    /// thread count.
-    #[test]
-    fn run_group_matches_individual_runs() {
-        let make_plan = |flip: bool| {
-            let mut g = Graph::new();
-            let x = g.generate(0, sobol(1));
-            let y = g.generate(1, sobol(2));
-            let z = if flip {
-                g.binary(BinaryOp::AndMultiply, x, y)
-            } else {
-                g.binary(BinaryOp::CaAdd, x, y)
-            };
-            g.sink_value("z", z);
-            g.compile(&PlannerOptions::default()).unwrap()
-        };
-        let plans: Vec<CompiledGraph> = (0..7).map(|i| make_plan(i % 2 == 0)).collect();
-        let inputs: Vec<BatchInput> = (0..7)
-            .map(|i| BatchInput::with_values(vec![i as f64 / 7.0, 1.0 - i as f64 / 9.0]))
-            .collect();
-        let jobs: Vec<ExecJob<'_>> = plans
-            .iter()
-            .zip(&inputs)
-            .map(|(plan, input)| ExecJob { plan, input })
-            .collect();
-        let solo: Vec<ExecOutput> = jobs
-            .iter()
-            .map(|j| Executor::new(193).run(j.plan, j.input).unwrap())
-            .collect();
-        for threads in [1usize, 3, 8] {
-            let grouped = Executor::new(193)
-                .with_threads(threads)
-                .run_group(&jobs)
-                .unwrap();
-            assert_eq!(grouped, solo, "threads={threads}");
-        }
-        assert!(Executor::new(193).run_group(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -2003,12 +1426,12 @@ mod tests {
         (plans, inputs)
     }
 
-    /// The acceptance matrix: streaming with windows {1, threads, 4×threads,
-    /// unbounded} is bit-identical to the full `run_group` dispatch and to
-    /// the sequential per-job loop, at 1 and N threads, and the engine never
-    /// reports more in-flight jobs than the window admits.
+    /// The acceptance matrix: streaming a heterogeneous job list with
+    /// windows {1, threads, 4×threads, unbounded} is bit-identical to the
+    /// sequential per-job [`Executor::run`] loop, at 1 and N threads, and
+    /// the engine never reports more in-flight jobs than the window admits.
     #[test]
-    fn run_stream_matches_group_and_sequential_at_all_windows() {
+    fn run_stream_matches_sequential_at_all_windows() {
         let n = 193usize;
         let (plans, inputs) = stream_fixture(11);
         let solo: Vec<ExecOutput> = plans
@@ -2016,15 +1439,8 @@ mod tests {
             .zip(&inputs)
             .map(|(plan, input)| Executor::new(n).run(plan, input).unwrap())
             .collect();
-        let jobs: Vec<ExecJob<'_>> = plans
-            .iter()
-            .zip(&inputs)
-            .map(|(plan, input)| ExecJob { plan, input })
-            .collect();
         for threads in [1usize, 3, 8] {
             let exec = Executor::new(n).with_threads(threads);
-            let grouped = exec.run_group(&jobs).unwrap();
-            assert_eq!(grouped, solo, "run_group, threads={threads}");
             for window in [1usize, threads, 4 * threads, usize::MAX] {
                 let stream_jobs = plans.iter().zip(&inputs).map(|(plan, input)| StreamJob {
                     plan: Arc::clone(plan),
@@ -2053,7 +1469,10 @@ mod tests {
             assert!(outputs.is_empty());
             assert_eq!(stats, StreamStats::default());
         }
-        assert!(Executor::new(64).run_group(&[]).unwrap().is_empty());
+        assert!(Executor::new(64)
+            .run_batch(&sync_plan(), &[])
+            .unwrap()
+            .is_empty());
     }
 
     /// Streaming edge case: zero-length streams execute (every op yields an
@@ -2106,94 +1525,6 @@ mod tests {
         assert_eq!(narrow_stats.peak_in_flight, 1);
     }
 
-    /// The lane-batched path: a family of same-class jobs (one shared plan
-    /// with manipulator, counter-max, and activation steps) groups into
-    /// lockstep lanes at 1 and N threads and stays bit-identical to solo
-    /// execution, leftover partial groups included.
-    #[test]
-    fn lane_batched_stream_matches_solo() {
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let y = g.generate(1, SourceSpec::Halton { base: 3, offset: 0 });
-        let (sx, sy) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
-        let (dx, dy) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, sx, sy);
-        let z = g.binary(BinaryOp::CaMax, dx, dy);
-        let t = g.stanh(2, z);
-        g.sink_stream("z", z);
-        g.sink_stream("t", t);
-        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
-        assert!(plan.lane_batchable());
-        let n = 257usize;
-        let inputs: Vec<BatchInput> = (0..11)
-            .map(|i| BatchInput::with_values(vec![i as f64 / 11.0, 1.0 - i as f64 / 13.0]))
-            .collect();
-        let solo: Vec<ExecOutput> = inputs
-            .iter()
-            .map(|input| Executor::new(n).run(&plan, input).unwrap())
-            .collect();
-        for threads in [1usize, 4] {
-            let exec = Executor::new(n).with_threads(threads);
-            let jobs = inputs.iter().map(|input| StreamJob {
-                plan: Arc::clone(&plan),
-                input: input.clone(),
-            });
-            let (streamed, stats) = exec.run_stream_with_stats(jobs, 8).unwrap();
-            assert_eq!(streamed, solo, "threads={threads}");
-            assert_eq!(stats.lane_batched_jobs + stats.scalar_jobs, inputs.len());
-            // 11 same-class jobs at window 8: two full lane groups plus a
-            // leftover group of 3, all lane-batched.
-            assert_eq!(stats.lane_batched_jobs, inputs.len(), "threads={threads}");
-            // run_batch routes through the same engine, lanes included.
-            assert_eq!(exec.run_batch(&plan, &inputs).unwrap(), solo);
-        }
-        // A window of 1 disables grouping entirely.
-        let jobs = inputs.iter().map(|input| StreamJob {
-            plan: Arc::clone(&plan),
-            input: input.clone(),
-        });
-        let (narrow, stats) = Executor::new(n).run_stream_with_stats(jobs, 1).unwrap();
-        assert_eq!(narrow, solo);
-        assert_eq!(stats.lane_batched_jobs, 0);
-        assert_eq!(stats.scalar_jobs, inputs.len());
-    }
-
-    /// A failing lane (missing value slot) drops out of its group with the
-    /// same error the scalar path reports, without disturbing its peers.
-    #[test]
-    fn lane_batched_group_isolates_failing_lane() {
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let y = g.generate(1, sobol(2));
-        let (sx, sy) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
-        g.sink_stream("x", sx);
-        g.sink_stream("y", sy);
-        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
-        let good = BatchInput::with_values(vec![0.4, 0.7]);
-        let jobs = vec![
-            StreamJob {
-                plan: Arc::clone(&plan),
-                input: good.clone(),
-            },
-            StreamJob {
-                plan: Arc::clone(&plan),
-                input: BatchInput::new(), // missing both value slots
-            },
-            StreamJob {
-                plan: Arc::clone(&plan),
-                input: good.clone(),
-            },
-        ];
-        let results = execute_plan_group(64, &jobs, &TelemetrySink::default());
-        assert_eq!(results.len(), 3);
-        let expected = Executor::new(64).run(&plan, &good).unwrap();
-        assert_eq!(results[0].as_ref().unwrap(), &expected);
-        assert!(matches!(
-            results[1],
-            Err(GraphError::ValueSlotOutOfRange { .. })
-        ));
-        assert_eq!(results[2].as_ref().unwrap(), &expected);
-    }
-
     /// Once a job fails, the error returned is deterministically the failing
     /// job with the smallest index, regardless of scheduling.
     #[test]
@@ -2221,8 +1552,8 @@ mod tests {
         }
     }
 
-    /// A lane-batchable plan (synchronizer step) for the streaming tests.
-    fn batchable_plan() -> Arc<CompiledGraph> {
+    /// A synchronizer plan for the streaming tests.
+    fn sync_plan() -> Arc<CompiledGraph> {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         let y = g.generate(1, sobol(2));
@@ -2233,21 +1564,17 @@ mod tests {
     }
 
     /// Jobs a report says were executed: one [`Stage::ScalarExecute`] span
-    /// per scalar job plus each [`Stage::LaneGroupExecute`] span's group size
-    /// carried in its arg.
+    /// per job.
     fn executed_jobs(report: &sc_telemetry::TelemetryReport) -> u64 {
         report.stage_totals(Stage::ScalarExecute).0
-            + report.stage_args_total(Stage::LaneGroupExecute)
     }
 
-    /// `peak_in_flight` is exact on the inline path: a buffered
-    /// lane-grouping job counts from its pull to its group's flush, so the
-    /// peak equals the window while grouping is active (not 1, as a
-    /// count-at-execute would report), and caps at [`LANES`] under an
-    /// unbounded window.
+    /// `peak_in_flight` is exact on the inline path: the caller executes
+    /// each job as it is pulled, so exactly one job is ever in flight, at
+    /// any window.
     #[test]
     fn inline_peak_in_flight_is_exact() {
-        let plan = batchable_plan();
+        let plan = sync_plan();
         let exec = Executor::new(64);
         let jobs = |count: usize| {
             let plan = Arc::clone(&plan);
@@ -2257,38 +1584,20 @@ mod tests {
             })
         };
 
-        // Window 3 never fills a LANES-sized bucket: every group flushes at
-        // the window boundary with 3 members, and the peak is the window.
-        let (_, stats) = exec.run_stream_with_stats(jobs(9), 3).unwrap();
-        assert_eq!(stats.peak_in_flight, 3);
-        assert_eq!(stats.lane_group_fill, [0, 0, 3, 0]);
-        assert_eq!(stats.lane_batched_jobs, 9);
-        assert_eq!(stats.scalar_jobs, 0);
-
-        // Unbounded window: buckets flush at LANES, so the peak is LANES and
-        // 9 jobs split into two full groups plus a singleton flush (which
-        // executes scalar).
-        let (_, stats) = exec.run_stream_with_stats(jobs(9), usize::MAX).unwrap();
-        assert_eq!(stats.peak_in_flight, LANES);
-        assert_eq!(stats.lane_group_fill, [1, 0, 0, 2]);
-        assert_eq!(stats.lane_batched_jobs, 2 * LANES);
-        assert_eq!(stats.scalar_jobs, 1);
-
-        // A window of 1 disables grouping entirely: scalar, peak 1.
-        let (_, stats) = exec.run_stream_with_stats(jobs(9), 1).unwrap();
-        assert_eq!(stats.peak_in_flight, 1);
-        assert_eq!(stats.lane_group_fill, [0; LANES]);
-        assert_eq!(stats.scalar_jobs, 9);
+        for window in [1usize, 3, usize::MAX] {
+            let (_, stats) = exec.run_stream_with_stats(jobs(9), window).unwrap();
+            assert_eq!(stats.peak_in_flight, 1, "window {window}");
+            assert_eq!(stats.jobs, 9);
+        }
     }
 
-    /// The `StreamStats.classes` breakdown partitions the global tallies on
-    /// both dispatch paths — per-class lane/scalar/fill sums reproduce the
-    /// global fields — and the sink's bounded class table carries the same
-    /// numbers plus one latency sample per job of the class.
+    /// The `StreamStats.classes` breakdown partitions the pulled jobs on
+    /// both dispatch paths, and the sink's bounded class table carries the
+    /// same numbers plus one latency sample per job of the class.
     #[test]
     fn stream_stats_attribute_jobs_per_plan_class() {
-        let a = batchable_plan();
-        let b = batchable_plan(); // same shape, fresh compile → distinct class
+        let a = sync_plan();
+        let b = sync_plan(); // same shape, fresh compile → distinct class
         assert_ne!(a.plan_class(), b.plan_class());
         for threads in [1usize, 4] {
             let sink = TelemetrySink::new();
@@ -2310,43 +1619,15 @@ mod tests {
                 "classes are sorted by id"
             );
             assert_eq!(
-                stats
-                    .classes
-                    .iter()
-                    .map(PlanClassStats::jobs)
-                    .sum::<usize>(),
+                stats.classes.iter().map(|c| c.jobs).sum::<usize>(),
                 stats.jobs
             );
-            assert_eq!(
-                stats
-                    .classes
-                    .iter()
-                    .map(|c| c.lane_batched_jobs)
-                    .sum::<usize>(),
-                stats.lane_batched_jobs
-            );
-            assert_eq!(
-                stats.classes.iter().map(|c| c.scalar_jobs).sum::<usize>(),
-                stats.scalar_jobs
-            );
-            for k in 0..LANES {
-                assert_eq!(
-                    stats
-                        .classes
-                        .iter()
-                        .map(|c| c.lane_group_fill[k])
-                        .sum::<usize>(),
-                    stats.lane_group_fill[k],
-                    "fill-{} groups partition per class",
-                    k + 1
-                );
-            }
             let jobs_of = |class: u64| {
                 stats
                     .classes
                     .iter()
                     .find(|c| c.plan_class == class)
-                    .map_or(0, PlanClassStats::jobs)
+                    .map_or(0, |c| c.jobs)
             };
             assert_eq!(jobs_of(a.plan_class()), 4);
             assert_eq!(jobs_of(b.plan_class()), 8);
@@ -2357,12 +1638,8 @@ mod tests {
             assert_eq!(report.classes().len(), 2);
             for class in &stats.classes {
                 let reported = report.class(class.plan_class).expect("class reported");
-                assert_eq!(reported.lane_batched_jobs, class.lane_batched_jobs as u64);
-                assert_eq!(reported.scalar_jobs, class.scalar_jobs as u64);
-                assert_eq!(reported.latency.count, class.jobs() as u64);
-                for (k, &count) in class.lane_group_fill.iter().enumerate() {
-                    assert_eq!(reported.lane_group_fill[k], count as u64);
-                }
+                assert_eq!(reported.jobs, class.jobs as u64);
+                assert_eq!(reported.latency.count, class.jobs as u64);
             }
         }
     }
@@ -2374,7 +1651,7 @@ mod tests {
     /// tally, sampled at the same points.
     #[test]
     fn peak_in_flight_bounded_by_window_on_both_paths() {
-        let plan = batchable_plan();
+        let plan = sync_plan();
         for threads in [1usize, 4] {
             for window in [1usize, 3, usize::MAX] {
                 for fail_at in [None, Some(5usize)] {
@@ -2413,14 +1690,12 @@ mod tests {
     }
 
     /// A stream whose k-th job fails still yields a drainable, *consistent*
-    /// report: every pulled job was executed under a closed span
-    /// (scalar-span count plus lane-group span args == `JobsPulled` == the
-    /// job-latency histogram count), exactly one failure is counted, and the
-    /// path-split counters partition the pulled jobs — at 1 and 4 threads,
-    /// window 1 and unbounded.
+    /// report: every pulled job was executed under a closed span (span count
+    /// == `JobsPulled` == the job-latency histogram count) and exactly one
+    /// failure is counted — at 1 and 4 threads, window 1 and unbounded.
     #[test]
     fn failing_stream_telemetry_is_consistent() {
-        let plan = batchable_plan();
+        let plan = sync_plan();
         for threads in [1usize, 4] {
             for window in [1usize, usize::MAX] {
                 let sink = TelemetrySink::new();
@@ -2452,11 +1727,6 @@ mod tests {
                 );
                 assert_eq!(report.histogram(Hist::JobLatencyNs).count, pulled);
                 assert_eq!(report.counter(Counter::JobsFailed), 1);
-                assert_eq!(
-                    report.counter(Counter::LaneBatchedJobs) + report.counter(Counter::ScalarJobs),
-                    pulled,
-                    "the lane/scalar split partitions the pulled jobs"
-                );
             }
         }
     }
@@ -2466,13 +1736,10 @@ mod tests {
     /// equal the sum of the per-call stats, field for field.
     #[test]
     fn sink_counters_are_derived_from_stream_stats() {
-        let plan = batchable_plan();
+        let plan = sync_plan();
         let sink = TelemetrySink::new();
         let exec = Executor::new(64).with_telemetry(sink.clone());
         let mut total_jobs = 0u64;
-        let mut total_batched = 0u64;
-        let mut total_scalar = 0u64;
-        let mut total_fill = [0u64; LANES];
         for count in [9usize, 5] {
             let jobs = (0..count).map(|_| StreamJob {
                 plan: Arc::clone(&plan),
@@ -2480,18 +1747,10 @@ mod tests {
             });
             let (_, stats) = exec.run_stream_with_stats(jobs, usize::MAX).unwrap();
             total_jobs += stats.jobs as u64;
-            total_batched += stats.lane_batched_jobs as u64;
-            total_scalar += stats.scalar_jobs as u64;
-            for (t, s) in total_fill.iter_mut().zip(stats.lane_group_fill) {
-                *t += s as u64;
-            }
         }
         let report = sink.drain();
         assert_eq!(report.counter(Counter::JobsPulled), total_jobs);
-        assert_eq!(report.counter(Counter::LaneBatchedJobs), total_batched);
-        assert_eq!(report.counter(Counter::ScalarJobs), total_scalar);
         assert_eq!(report.counter(Counter::JobsFailed), 0);
-        assert_eq!(&report.lane_group_fill()[..LANES], &total_fill);
         assert_eq!(executed_jobs(&report), total_jobs);
     }
 
@@ -2502,14 +1761,15 @@ mod tests {
         let n = 129usize;
         let (plans, inputs) = stream_fixture(9);
         let exec = Executor::new(n).with_threads(4);
-        let jobs: Vec<ExecJob<'_>> = plans
-            .iter()
-            .zip(&inputs)
-            .map(|(plan, input)| ExecJob { plan, input })
-            .collect();
-        let first = exec.run_group(&jobs).unwrap();
+        let jobs = || {
+            plans.iter().zip(&inputs).map(|(plan, input)| StreamJob {
+                plan: Arc::clone(plan),
+                input: input.clone(),
+            })
+        };
+        let first = exec.run_stream(jobs(), usize::MAX).unwrap();
         for _ in 0..5 {
-            assert_eq!(exec.run_group(&jobs).unwrap(), first);
+            assert_eq!(exec.run_stream(jobs(), usize::MAX).unwrap(), first);
         }
         // A standalone pool drains and joins cleanly on drop.
         let pool = WorkerPool::new(3);
@@ -2518,30 +1778,6 @@ mod tests {
     }
 
     proptest! {
-        /// `balanced_spans` across random shapes up to 1000: exactly
-        /// `min(workers, len)` spans, covering `0..len` contiguously in
-        /// order, with sizes differing by at most one.
-        #[test]
-        fn balanced_spans_properties(len in 0usize..=1000, workers in 1usize..=64) {
-            let spans = balanced_spans(len, workers);
-            prop_assert_eq!(spans.len(), workers.min(len).max(1));
-            let mut next = 0usize;
-            let mut min_size = usize::MAX;
-            let mut max_size = 0usize;
-            for span in &spans {
-                prop_assert_eq!(span.start, next, "contiguous, in order");
-                next = span.end;
-                let size = span.end - span.start;
-                min_size = min_size.min(size);
-                max_size = max_size.max(size);
-            }
-            prop_assert_eq!(next, len, "full coverage");
-            prop_assert!(max_size - min_size <= 1, "near-equal sizes");
-            if len >= workers {
-                prop_assert!(min_size >= 1, "no stranded worker");
-            }
-        }
-
         /// Random job counts, windows, and thread counts: streaming always
         /// matches the sequential per-job reference.
         #[test]

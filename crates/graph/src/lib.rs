@@ -39,8 +39,9 @@
 //! **bounded-window streaming** ([`Executor::run_stream`]): jobs are pulled
 //! lazily from an iterator with at most `window` planned-but-unfinished jobs
 //! alive at once, so arbitrarily long job streams run in O(window) plan
-//! memory; [`Executor::run_batch`] and [`Executor::run_group`] are thin
-//! wrappers streaming a materialised list with an unbounded window. Plans
+//! memory; [`Executor::run_batch`] is a thin wrapper streaming a
+//! materialised list with an unbounded window. Every job executes on its
+//! own, against its own plan. Plans
 //! are `Send + Sync` plain data: every execution builds fresh deterministic
 //! sources and FSMs from [`sc_rng::SourceSpec`]s, so parallel results are
 //! bit-identical to sequential ones at any worker count and any window.
@@ -51,8 +52,8 @@
 //!
 //! **Observability.** Both the compiler and the executor accept an
 //! [`sc_telemetry::TelemetrySink`] ([`Graph::compile_with_telemetry`],
-//! [`Executor::with_telemetry`]): compile passes, dispatches, lane-group and
-//! scalar executions, and worker park/run cycles record named spans,
+//! [`Executor::with_telemetry`]): compile passes, dispatches, per-job
+//! executions, and worker park/run cycles record named spans,
 //! counters, gauges, and histograms into it, drainable as one
 //! [`sc_telemetry::TelemetryReport`]. The default sink is a no-op and the
 //! instrumentation sits at step/job granularity — never inside the word
@@ -104,8 +105,8 @@ pub use compile::{
     CompileReport, CompiledGraph, MeasuredPair, PassDelta, PassSet, PlannerOptions, Step,
 };
 pub use exec::{
-    balanced_spans, BatchInput, ExecJob, ExecOutput, Executor, PlanClassStats, StreamJob,
-    StreamStats, WorkerPool, DEFAULT_WINDOW_FACTOR,
+    BatchInput, ExecOutput, Executor, PlanClassStats, StreamJob, StreamStats, WorkerPool,
+    DEFAULT_WINDOW_FACTOR,
 };
 pub use graph::{Graph, GraphError};
 pub use node::{

@@ -43,7 +43,7 @@ pub(crate) fn emit_steps(
     // consumed exactly once, by q's inputs 0/1 in order, and q is itself a
     // manipulator.
     let fuse_next = |i: usize| -> Option<usize> {
-        if !options.fusion_enabled() {
+        if !options.passes.fusion {
             return None;
         }
         let (p0, p1) = (port(i, 0), port(i, 1));

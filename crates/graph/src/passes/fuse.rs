@@ -16,9 +16,10 @@ use std::collections::HashMap;
 /// run the sub-steps back to back in the same order, so the collapse is
 /// bit-identical by construction.
 ///
-/// Lane-batched step kinds — manipulators (which have their own chain
-/// fusion), saturating-counter FSMs, and counter-based max/min — stay solo
-/// so [`crate::CompiledGraph::lane_batchable`] grouping keeps its targets.
+/// FSM-bearing step kinds — manipulators (which have their own chain
+/// fusion), saturating-counter FSMs, and counter-based max/min — stay solo:
+/// absorbing them would change plan shapes, which is left for a measured
+/// change of its own.
 pub(crate) struct SpanFusion;
 
 impl Pass for SpanFusion {
@@ -31,7 +32,7 @@ impl Pass for SpanFusion {
     }
 
     fn enabled(&self, options: &PlannerOptions) -> bool {
-        options.fusion_enabled()
+        options.passes.fusion
     }
 
     fn run(
@@ -57,8 +58,7 @@ impl Pass for SpanFusion {
                 && !matches!(
                     ir.nodes[i].op,
                     // Manipulators fuse through their own chain mechanism;
-                    // FSM and counter-based steps stay solo for lane
-                    // batching.
+                    // FSM and counter-based steps stay solo.
                     NodeOp::Manipulate(_)
                         | NodeOp::UnaryFsm(_)
                         | NodeOp::Binary(BinaryOp::CaMax | BinaryOp::CaMin)

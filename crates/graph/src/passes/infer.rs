@@ -208,7 +208,6 @@ pub(crate) fn measured_class(
     let probe_options = PlannerOptions {
         auto_repair: false,
         measure_unknown: None,
-        fuse: false,
         passes: PassSet::none(),
         ..PlannerOptions::default()
     };

@@ -4,25 +4,23 @@
 //! `run_stream` is a *call*: it owns the dispatch loop until its job
 //! iterator drains, so two concurrent images either serialise behind one
 //! call or split across two executors (and two worker pools, and two
-//! windows that can never coalesce). [`Service`] inverts that shape into a
+//! windows that never share their workers). [`Service`] inverts that shape into a
 //! long-lived tier:
 //!
 //! * **One warm pool.** A dedicated dispatcher thread owns a persistent
-//!   [`WorkerPool`] and the per-class coalescing
-//!   buckets; every request multiplexes over the same threads, so
+//!   [`WorkerPool`]; every request multiplexes over the same threads, so
 //!   back-to-back images reuse warm workers instead of respawning them.
 //! * **Bounded intake with backpressure.** [`Service::submit`] blocks until
 //!   the intake queue has room; [`Service::try_submit`] fails fast and
 //!   returns the request, so open-loop producers slow down instead of
 //!   buffering unboundedly ahead of the dispatch window. Intake depth is
 //!   exported through [`Gauge::IntakeDepth`] for `watch`-driven shedding.
-//! * **Cross-request tile coalescing.** The dispatcher drains admitted jobs
-//!   round-robin across requests into the same heterogeneous dispatch
-//!   window, so same-[`plan_class`](crate::CompiledGraph::plan_class) tiles
-//!   from *different* requests fill one lane group and execute in lockstep
-//!   — under concurrent traffic, per-image parallelism becomes sustained
-//!   multi-user throughput. [`Counter::CrossRequestLaneJobs`] counts the
-//!   lane-batched jobs whose group mixed two or more requests.
+//! * **One shared dispatch window.** The dispatcher drains admitted jobs
+//!   round-robin across requests (one job per request per turn) straight
+//!   onto the pool, with at most `window` jobs in flight across all
+//!   requests — under concurrent traffic, per-image parallelism becomes
+//!   sustained multi-user throughput. [`Gauge::WindowOccupancy`] and
+//!   [`Hist::WindowOccupancy`] track the window.
 //! * **Deadlines and cancellation.** A [`Request`] may carry an absolute
 //!   deadline: expired-at-submit requests are rejected without queueing,
 //!   and in-flight expiry purges the request's remaining jobs.
@@ -36,17 +34,16 @@
 //!   [`Hist::RequestLatencyNs`] histogram in the shared
 //!   [`TelemetrySink`].
 //!
-//! Results are bit-identical to solo execution: the dispatcher reuses the
-//! executor's own lane-group and scalar engines, and grouping never changes
-//! a job's output, only its schedule.
+//! Results are bit-identical to solo execution: the dispatcher runs every
+//! job through the executor's own per-job engine, and the schedule never
+//! changes a job's output.
 
-use crate::exec::{execute_job_scalar, execute_plan_group, StreamJob, WorkerPool};
+use crate::exec::{submit_job, JobOutcome, StreamJob, WorkerPool};
 use crate::graph::GraphError;
 use crate::ExecOutput;
-use sc_core::LANES;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -65,8 +62,8 @@ pub struct ServiceConfig {
     /// Worker threads in the shared pool (clamped to ≥ 1; the dispatcher
     /// thread is extra).
     pub threads: usize,
-    /// Dispatch-window size: the maximum number of admitted-but-unfinished
-    /// jobs (pool-submitted plus coalescing-buffered). `None` uses
+    /// Dispatch-window size: the maximum number of jobs on the pool at
+    /// once, across all requests. `None` uses
     /// `threads ×`[`DEFAULT_WINDOW_FACTOR`](crate::exec::DEFAULT_WINDOW_FACTOR).
     pub window: Option<usize>,
     /// Intake capacity: the maximum number of admitted-but-undispatched
@@ -236,13 +233,6 @@ pub struct RequestReport {
     pub outputs: Vec<ExecOutput>,
     /// Wall-clock attribution across the serving stages.
     pub attribution: RequestAttribution,
-    /// Jobs of this request executed through the lane-batched path.
-    pub lane_batched_jobs: usize,
-    /// Jobs of this request executed through the scalar path.
-    pub scalar_jobs: usize,
-    /// Lane-batched jobs of this request whose group mixed jobs from two or
-    /// more requests — the cross-request coalescing the tier exists for.
-    pub cross_request_lane_jobs: usize,
 }
 
 /// How a request ended (dispatcher-side verdict).
@@ -277,9 +267,6 @@ struct Completion {
     t_admitted: Instant,
     t_first_dispatch: Option<Instant>,
     t_last_done: Option<Instant>,
-    lane_batched: usize,
-    scalar: usize,
-    cross_request: usize,
 }
 
 impl RequestState {
@@ -407,9 +394,6 @@ impl RequestHandle {
         Ok(RequestReport {
             outputs,
             attribution,
-            lane_batched_jobs: done.lane_batched,
-            scalar_jobs: done.scalar,
-            cross_request_lane_jobs: done.cross_request,
         })
     }
 }
@@ -446,18 +430,14 @@ struct Shared {
 /// A message to the dispatcher thread.
 enum Msg {
     /// One job's outcome: `(request id, job index, worker outcome)`.
-    Done(
-        u64,
-        usize,
-        std::thread::Result<Result<ExecOutput, GraphError>>,
-    ),
+    Done(u64, usize, JobOutcome),
     /// Intake changed (new request, cancellation, shutdown): re-scan.
     Wake,
 }
 
 /// The long-lived serving tier: a dispatcher thread multiplexing many
 /// concurrent requests over one warm [`WorkerPool`], with bounded intake
-/// and cross-request lane coalescing. See the [module docs](self).
+/// and one shared dispatch window. See the [module docs](self).
 pub struct Service {
     shared: Arc<Shared>,
     tx: mpsc::Sender<Msg>,
@@ -604,9 +584,6 @@ impl Service {
                 t_admitted,
                 t_first_dispatch: None,
                 t_last_done: None,
-                lane_batched: 0,
-                scalar: 0,
-                cross_request: 0,
             }),
             finished_cv: Condvar::new(),
         });
@@ -652,17 +629,14 @@ impl Drop for Service {
 /// One live request's dispatcher-side bookkeeping.
 struct LiveRequest {
     state: Arc<RequestState>,
-    /// Jobs moved into the window (buffered or pool-side) but not yet
-    /// completed or purged.
+    /// Jobs moved onto the pool but not yet completed.
     outstanding: usize,
 }
 
-/// The dispatcher: drains the intake round-robin into per-class coalescing
-/// buckets bounded by `window`, submits lane groups (and scalar singles) to
-/// the pool, routes results back into each request's state, and enforces
-/// deadlines and cancellation. Single-threaded by design — all scheduling
-/// state is thread-local to this loop.
-#[allow(clippy::too_many_lines)]
+/// The dispatcher: drains the intake round-robin straight onto the pool,
+/// at most `window` jobs in flight, routes results back into each request's
+/// state, and enforces deadlines and cancellation. Single-threaded by
+/// design — all scheduling state is thread-local to this loop.
 fn dispatcher_loop(
     shared: &Shared,
     tx: &mpsc::Sender<Msg>,
@@ -673,86 +647,64 @@ fn dispatcher_loop(
 ) {
     let telemetry = &shared.telemetry;
     let pool = WorkerPool::with_telemetry(threads, telemetry.clone());
-    // Per-class coalescing buckets: entries are (request id, job index, job).
-    let mut buckets: HashMap<u64, Vec<(u64, usize, StreamJob)>> = HashMap::new();
     let mut live: HashMap<u64, LiveRequest> = HashMap::new();
-    // Jobs moved out of intake (buffered or pool-side) minus completions.
+    // Jobs on the pool: moved out of intake minus completions.
     let mut in_window = 0usize;
-    // Jobs handed to the pool minus completions (excludes buffered jobs).
-    let mut on_pool = 0usize;
+    let set_window = |in_window: usize| {
+        telemetry.gauge_set(Gauge::WindowOccupancy, in_window as u64);
+        telemetry.observe(Hist::WindowOccupancy, in_window as u64);
+    };
     loop {
         // Phase 1: enforce cancellation and deadlines — queued and
-        // in-window requests alike. Purged requests lose their queued and
-        // buffered jobs immediately; jobs already on the pool finish and
-        // their results are discarded on arrival.
+        // in-window requests alike. Purged requests lose their queued jobs
+        // immediately; jobs already on the pool finish and their results
+        // are discarded on arrival.
         let now = Instant::now();
-        let mut purged: Vec<u64> = Vec::new();
+        let expired_verdict = |state: &RequestState| {
+            if state.cancelled.load(Ordering::Acquire) {
+                Some(Verdict::Cancelled)
+            } else {
+                state
+                    .deadline
+                    .is_some_and(|d| d <= now)
+                    .then_some(Verdict::Expired)
+            }
+        };
         {
             let mut intake = shared.intake.lock().expect("intake lock is never poisoned");
-            let mut kept = VecDeque::with_capacity(intake.queue.len());
+            let before = intake.queue.len();
+            let mut kept = VecDeque::with_capacity(before);
             while let Some(pending) = intake.queue.pop_front() {
-                let cancelled = pending.state.cancelled.load(Ordering::Acquire);
-                let expired = pending.state.deadline.is_some_and(|d| d <= now);
-                if cancelled || expired {
+                if let Some(verdict) = expired_verdict(&pending.state) {
                     intake.pending_jobs -= pending.jobs.len();
-                    let verdict = if cancelled {
-                        Verdict::Cancelled
-                    } else {
-                        Verdict::Expired
-                    };
                     finish(&pending.state, verdict, telemetry);
-                    purged.push(pending.state.id);
                 } else {
                     kept.push_back(pending);
                 }
             }
+            let purged = kept.len() < before;
             intake.queue = kept;
             telemetry.gauge_set(Gauge::IntakeDepth, intake.pending_jobs as u64);
+            drop(intake);
+            if purged {
+                shared.room.notify_all();
+            }
         }
-        for (&id, req) in &live {
-            let cancelled = req.state.cancelled.load(Ordering::Acquire);
-            let expired = req.state.deadline.is_some_and(|d| d <= now);
-            if cancelled || expired {
-                let verdict = if cancelled {
-                    Verdict::Cancelled
-                } else {
-                    Verdict::Expired
-                };
+        for req in live.values() {
+            if let Some(verdict) = expired_verdict(&req.state) {
                 finish(&req.state, verdict, telemetry);
-                if !purged.contains(&id) {
-                    purged.push(id);
-                }
             }
-        }
-        if !purged.is_empty() {
-            shared.room.notify_all();
-            for id in &purged {
-                for bucket in buckets.values_mut() {
-                    let before = bucket.len();
-                    bucket.retain(|(req, _, _)| req != id);
-                    let dropped = before - bucket.len();
-                    in_window -= dropped;
-                    if dropped > 0 {
-                        if let Some(req) = live.get_mut(id) {
-                            req.outstanding -= dropped;
-                        }
-                    }
-                }
-            }
-            buckets.retain(|_, bucket| !bucket.is_empty());
-            live.retain(|_, req| req.outstanding > 0 || !req.state.finished());
         }
 
-        // Phase 2: the coalesce pass — move intake jobs into the window,
-        // round-robin across requests so concurrent same-class requests
-        // interleave into the same lane buckets.
-        let mut ready: Vec<Vec<(u64, usize, StreamJob)>> = Vec::new();
+        // Phase 2: the dispatch pass — move intake jobs into the window,
+        // round-robin across requests, and hand them to the pool once the
+        // intake lock is released, so no submitter waits behind a wake-up.
+        let mut ready: Vec<(u64, usize, StreamJob)> = Vec::new();
         let shutdown;
         {
             let mut span = telemetry.span_with(Stage::ServeCoalesce, 0);
             let mut intake = shared.intake.lock().expect("intake lock is never poisoned");
             shutdown = intake.shutdown;
-            let mut moved = 0u64;
             let t_dispatch = Instant::now();
             while in_window < window {
                 let Some(mut pending) = intake.queue.pop_front() else {
@@ -762,14 +714,15 @@ fn dispatcher_loop(
                     continue; // drained request: drop it from the rotation
                 };
                 intake.pending_jobs -= 1;
-                moved += 1;
                 in_window += 1;
+                set_window(in_window);
                 let id = pending.state.id;
-                let entry = live.entry(id).or_insert_with(|| LiveRequest {
-                    state: Arc::clone(&pending.state),
-                    outstanding: 0,
-                });
-                entry.outstanding += 1;
+                live.entry(id)
+                    .or_insert_with(|| LiveRequest {
+                        state: Arc::clone(&pending.state),
+                        outstanding: 0,
+                    })
+                    .outstanding += 1;
                 {
                     let mut done = pending
                         .state
@@ -789,49 +742,19 @@ fn dispatcher_loop(
                     intake.queue.push_back(pending);
                 }
                 telemetry.add(Counter::JobsPulled, 1);
-                if window >= 2 && job.plan.lane_batchable() {
-                    let class = job.plan.plan_class();
-                    let bucket = buckets.entry(class).or_default();
-                    bucket.push((id, index, job));
-                    if bucket.len() == LANES {
-                        ready.push(buckets.remove(&class).expect("bucket just filled"));
-                    }
-                } else {
-                    ready.push(vec![(id, index, job)]);
-                }
+                ready.push((id, index, job));
             }
             telemetry.gauge_set(Gauge::IntakeDepth, intake.pending_jobs as u64);
             drop(intake);
             shared.room.notify_all();
-            span.set_arg(moved);
+            span.set_arg(ready.len() as u64);
         }
-        let moved_any = !ready.is_empty();
-        for group in ready {
-            on_pool += group.len();
-            tally_group(&group, &live, telemetry, group.len() >= 2);
-            submit_group(&pool, tx, n, group, telemetry);
-        }
-        // Progress guarantee (mirrors `run_stream`): when nothing could be
-        // moved and no pool-side results are coming, flush the bucket
-        // holding the oldest request's job so partially-filled groups still
-        // execute instead of waiting for traffic that may never arrive.
-        if !moved_any && on_pool == 0 {
-            let oldest = buckets
-                .iter()
-                .min_by_key(|(_, bucket)| {
-                    bucket
-                        .iter()
-                        .map(|(id, _, _)| *id)
-                        .min()
-                        .unwrap_or(u64::MAX)
-                })
-                .map(|(&class, _)| class);
-            if let Some(class) = oldest {
-                let group = buckets.remove(&class).expect("oldest bucket exists");
-                on_pool += group.len();
-                tally_group(&group, &live, telemetry, true);
-                submit_group(&pool, tx, n, group, telemetry);
-            }
+        for (id, index, job) in ready {
+            telemetry.class_add_jobs(job.plan.plan_class(), 1);
+            let tx = tx.clone();
+            submit_job(&pool, n, job, telemetry, move |outcome| {
+                let _ = tx.send(Msg::Done(id, index, outcome));
+            });
         }
 
         // Phase 3: shutdown — stop admitting, fail every still-queued
@@ -860,8 +783,8 @@ fn dispatcher_loop(
             let Msg::Done(id, index, outcome) = msg else {
                 return;
             };
-            on_pool -= 1;
             in_window -= 1;
+            set_window(in_window);
             let Some(req) = live.get_mut(&id) else {
                 return;
             };
@@ -901,7 +824,7 @@ fn dispatcher_loop(
         };
         if let Some(msg) = msg {
             handle_msg(msg);
-            // Drain whatever else is already queued before re-coalescing.
+            // Drain whatever else is already queued before dispatching more.
             while let Ok(msg) = rx.try_recv() {
                 handle_msg(msg);
             }
@@ -926,97 +849,4 @@ fn finish(state: &Arc<RequestState>, verdict: Verdict, telemetry: &TelemetrySink
         }
         state.finished_cv.notify_all();
     }
-}
-
-/// Tallies one dispatch group's path split into the sink and into each
-/// member request's accounting: lane-batched vs scalar, the lane-fill
-/// distribution, per-class attribution, and — when the group mixes two or
-/// more requests — the cross-request counter.
-fn tally_group(
-    group: &[(u64, usize, StreamJob)],
-    live: &HashMap<u64, LiveRequest>,
-    telemetry: &TelemetrySink,
-    grouped: bool,
-) {
-    let lane = group.len() >= 2;
-    let class = group[0].2.plan.plan_class();
-    if grouped {
-        telemetry.lane_fill_n(group.len(), 1);
-        telemetry.class_fill_n(class, group.len(), 1);
-    }
-    if lane {
-        telemetry.add(Counter::LaneBatchedJobs, group.len() as u64);
-        telemetry.class_add_jobs(class, group.len() as u64, 0);
-    } else {
-        telemetry.add(Counter::ScalarJobs, group.len() as u64);
-        telemetry.class_add_jobs(class, 0, group.len() as u64);
-    }
-    let first_id = group[0].0;
-    let cross = lane && group.iter().any(|(id, _, _)| *id != first_id);
-    if cross {
-        telemetry.add(Counter::CrossRequestLaneJobs, group.len() as u64);
-    }
-    for (id, _, _) in group {
-        if let Some(req) = live.get(id) {
-            let mut done = req
-                .state
-                .done
-                .lock()
-                .expect("request completion lock is never poisoned");
-            if lane {
-                done.lane_batched += 1;
-            } else {
-                done.scalar += 1;
-            }
-            if cross {
-                done.cross_request += 1;
-            }
-        }
-    }
-}
-
-/// Submits one coalesced group to the pool as a single task: lane-batched
-/// lockstep when it holds ≥ 2 jobs, scalar otherwise. Each job's outcome is
-/// reported individually; a panic carries its payload on the group's first
-/// job.
-fn submit_group(
-    pool: &WorkerPool,
-    tx: &mpsc::Sender<Msg>,
-    n: usize,
-    group: Vec<(u64, usize, StreamJob)>,
-    telemetry: &TelemetrySink,
-) {
-    let tx = tx.clone();
-    let telemetry = telemetry.clone();
-    pool.submit(Box::new(move || {
-        let mut keys = Vec::with_capacity(group.len());
-        let mut jobs = Vec::with_capacity(group.len());
-        for (id, index, job) in group {
-            keys.push((id, index));
-            jobs.push(job);
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if jobs.len() >= 2 {
-                execute_plan_group(n, &jobs, &telemetry)
-            } else {
-                jobs.iter()
-                    .map(|job| execute_job_scalar(n, job, &telemetry))
-                    .collect()
-            }
-        }));
-        // Free the jobs — and their plan handles — before the results
-        // become visible, so the window bounds live-plan memory.
-        drop(jobs);
-        match outcome {
-            Ok(results) => {
-                for ((id, index), result) in keys.into_iter().zip(results) {
-                    let _ = tx.send(Msg::Done(id, index, Ok(result)));
-                }
-            }
-            Err(payload) => {
-                let (id, index) = keys[0];
-                let _ = tx.send(Msg::Done(id, index, Err(payload)));
-            }
-        }
-    }));
 }

@@ -28,12 +28,12 @@
 //! **Observability.** [`PipelineConfig::with_telemetry`] attaches an
 //! [`sc_telemetry::TelemetrySink`] that the whole run records into: per-tile
 //! plan-cache hits (with nested retarget spans) and misses (with per-pass
-//! compile spans), the executor's dispatch / lane-group / scalar / worker
+//! compile spans), the executor's dispatch / per-tile execution / worker
 //! activity, and the final sink scatter. Draining the sink yields one
 //! [`sc_telemetry::TelemetryReport`] with the per-stage time breakdown,
-//! counters, and the lane-group fill histogram; [`PipelineStats`] is a
-//! plain-struct view over the same run (tiles, compilations,
-//! lane-batched vs scalar jobs, fill distribution).
+//! counters, and per-class attribution; [`PipelineStats`] is a
+//! plain-struct view over the same run (tiles, compilations, tiles per
+//! plan class).
 //!
 //! The paper's input images are not published, so workloads are synthetic
 //! ([`GrayImage::gradient`], [`GrayImage::checkerboard`],

@@ -21,7 +21,6 @@ use crate::edge::roberts_cross_float;
 use crate::gaussian::gaussian_blur_float;
 use crate::image::{GrayImage, ImageError};
 use crate::planner::TilePlanner;
-use sc_core::LANES;
 use sc_graph::{Executor, StreamJob};
 use sc_telemetry::TelemetrySink;
 use std::hash::{Hash, Hasher};
@@ -89,8 +88,7 @@ pub struct PipelineConfig {
     /// cross-tile plan-cache key: tiles of the same shape, bank phase, and
     /// brightness bucket share one measured compile (probed at the bucket's
     /// midpoint) with their select seeds retargeted in — so measured mode
-    /// keeps the per-class cache (and the executor's lane batching of
-    /// same-class tiles) instead of recompiling per tile. `None` (the
+    /// keeps the per-class cache instead of recompiling per tile. `None` (the
     /// default) keeps the purely structural planner.
     pub measure_scc: Option<usize>,
     /// Which optimizer passes of the graph-compile pipeline run on every
@@ -103,7 +101,7 @@ pub struct PipelineConfig {
     pub passes: sc_graph::PassSet,
     /// Telemetry sink the whole pipeline records into: plan-cache hits and
     /// misses (with nested retarget / per-pass compile spans), the executor's
-    /// dispatch, lane-group and scalar execution, worker activity, and the
+    /// dispatch, per-tile execution, worker activity, and the
     /// final sink scatter. The default sink is disabled and records nothing;
     /// attach an enabled [`TelemetrySink`] (see
     /// [`PipelineConfig::with_telemetry`]) and drain it after the run for a
@@ -217,32 +215,15 @@ pub struct PipelineStats {
     /// freed a counted job's plan; cached per-class templates are counted
     /// separately by `compilations`). Never exceeds the dispatch window,
     /// which is how streaming keeps whole-image memory at O(window) instead
-    /// of O(tiles). Depends on the worker count (the inline sequential path
-    /// buffers up to the window too, so same-class tiles can be lane-batched),
-    /// so it is excluded from cross-thread stats comparisons.
+    /// of O(tiles). Depends on the worker count (one thread executes each
+    /// tile as it is planned, so its peak is 1), so it is excluded from
+    /// cross-thread stats comparisons.
     pub peak_live_plans: usize,
-    /// Tiles executed as members of a `u64×LANES` lane-batched group
-    /// ([`sc_graph::StreamStats`]'s `lane_batched_jobs`): same-class
-    /// retargeted tiles transposed into lanes and stepped together. Depends
-    /// on how tiles happened to group inside the window, so — like
-    /// `peak_live_plans` — it is excluded from cross-thread comparisons.
-    pub lane_batched_jobs: usize,
-    /// Tiles executed solo on the scalar path (window-flush singletons and
-    /// non-batchable plans). `lane_batched_jobs + scalar_jobs == tiles`.
-    pub scalar_jobs: usize,
-    /// Lane-group fill distribution ([`sc_graph::StreamStats`]'s
-    /// `lane_group_fill`): `lane_group_fill[k]` counts the same-class tile
-    /// groups flushed with `k + 1` members, so `lane_group_fill[LANES - 1]`
-    /// is the fully-filled count, lower indices are early window flushes, and
-    /// `lane_group_fill[0]` counts singleton flushes (which execute on the
-    /// scalar path). `lane_batched_jobs == Σ_{k≥1} (k+1)·lane_group_fill[k]`.
-    pub lane_group_fill: [usize; LANES],
-    /// The execution tallies above broken down per compiled tile class
-    /// ([`sc_graph::PlanClassStats`], keyed by the cached template's
-    /// `plan_class`), in class-id order — `compilations` counts these
-    /// classes, and this names how each one's tiles actually executed, so a
-    /// slow or scalar-stuck tile class is identifiable instead of averaged
-    /// away. Per-class latency histograms live on the attached
+    /// Tiles executed per compiled tile class ([`sc_graph::PlanClassStats`],
+    /// keyed by the cached template's `plan_class`), in class-id order —
+    /// `compilations` counts these classes, and this names how many tiles
+    /// each one ran, so a slow tile class is identifiable instead of
+    /// averaged away. Per-class latency histograms live on the attached
     /// [`TelemetrySink`]'s report ([`sc_telemetry::TelemetryReport::classes`]).
     pub classes: Vec<sc_graph::PlanClassStats>,
     /// Steps removed by the optimizer passes across all tile-class compiles
@@ -331,11 +312,9 @@ pub fn run_sc_pipeline_with_threads(
 /// ([`Executor::run_stream`]), so peak memory is O(window) retargeted plans
 /// plus the per-class templates, regardless of image size; the per-class
 /// cache is never evicted, so a window never re-plans a class it already
-/// holds. Because retargeted tiles share their template's plan class, the
-/// executor's lane batching transposes up to four in-window same-class tiles
-/// into `u64×4` lanes and steps their FSM stages together — bit-identical to
-/// solo execution. Sink values are scattered into the output image as the
-/// final step.
+/// holds. Retargeted tiles share their template's plan class, which is
+/// what [`PipelineStats::classes`] attributes tiles to. Sink values are
+/// scattered into the output image as the final step.
 ///
 /// Every tile executes with fresh deterministic sources and FSMs, so the
 /// result is bit-identical to processing the tiles one at a time in raster
@@ -389,9 +368,6 @@ pub fn run_sc_pipeline_with_window(
         .run_stream_with_stats(jobs, window)
         .expect("tile graphs execute over their own batch input");
     stats.peak_live_plans = stream_stats.peak_in_flight;
-    stats.lane_batched_jobs = stream_stats.lane_batched_jobs;
-    stats.scalar_jobs = stream_stats.scalar_jobs;
-    stats.lane_group_fill = stream_stats.lane_group_fill;
     stats.classes = stream_stats.classes;
 
     // Scatter the per-tile sink values into the output image.

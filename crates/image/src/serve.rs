@@ -7,8 +7,7 @@
 //! shared [`TilePlanner`] (one per-class plan cache for *all* requests, so a
 //! request whose tile classes were already compiled plans in retarget time),
 //! and the service's dispatch window (tiles from concurrently submitted
-//! images coalesce into the same lane-batched groups when they share a
-//! `plan_class` — the cross-request batching the serving tier exists for).
+//! images interleave round-robin on one shared pool).
 //!
 //! [`ImageServer::submit`] decomposes the image into per-tile
 //! [`sc_graph::StreamJob`]s (raster order, so per-request select seeds — and
@@ -158,15 +157,16 @@ pub struct ImageResponse {
     /// Wall-clock attribution across the serving stages
     /// (submit → queue-wait → execute → assemble, summing to `wall_ns`).
     pub attribution: RequestAttribution,
-    /// Tiles executed through the lane-batched path.
+    /// Always zero: every tile executes on its own. Kept only because the
+    /// repository benchmark (`perfbench/`) still reads it.
     pub lane_batched_jobs: usize,
-    /// Tiles executed through the scalar path.
+    /// Tiles executed; every tile executes on its own, so this equals
+    /// `tiles`.
     pub scalar_jobs: usize,
-    /// Lane-batched tiles whose group mixed tiles from two or more requests.
+    /// Always zero, for the same reason as `lane_batched_jobs`.
     pub cross_request_lane_jobs: usize,
     /// Planning-side accounting for this request (tiles planned, plan-cache
-    /// compilations, optimizer deltas); execution-side fields are zero —
-    /// they live in the request's lane/scalar tallies above.
+    /// compilations, optimizer deltas); execution-side fields are zero.
     pub planning: PipelineStats,
 }
 
@@ -224,9 +224,9 @@ impl ImageHandle {
             image,
             tiles: report.outputs.len(),
             attribution: report.attribution,
-            lane_batched_jobs: report.lane_batched_jobs,
-            scalar_jobs: report.scalar_jobs,
-            cross_request_lane_jobs: report.cross_request_lane_jobs,
+            lane_batched_jobs: 0,
+            scalar_jobs: report.outputs.len(),
+            cross_request_lane_jobs: 0,
             planning: self.planning,
         })
     }

@@ -56,7 +56,9 @@ fn overwrite_accounting_is_exact_under_concurrent_writers() {
 /// Snapshots taken while writers are mid-flight are internally consistent
 /// (accounting holds on every observation) and non-destructive: the final
 /// drain still reports every span the rings retained, no matter how many
-/// snapshots were taken before it.
+/// snapshots were taken before it. The writer records half its spans, then
+/// meets the sampler at a barrier, so at least one snapshot is guaranteed
+/// to land mid-run, after spans exist.
 #[test]
 fn snapshots_interleaved_with_writers_do_not_consume_drained_spans() {
     const RING_CAPACITY: usize = 64;
@@ -64,30 +66,47 @@ fn snapshots_interleaved_with_writers_do_not_consume_drained_spans() {
 
     let sink = TelemetrySink::with_span_capacity(RING_CAPACITY);
     let stop = Arc::new(AtomicBool::new(false));
+    let halfway = Arc::new(Barrier::new(2));
     let sampler = {
         let sink = sink.clone();
         let stop = Arc::clone(&stop);
+        let halfway = Arc::clone(&halfway);
         std::thread::spawn(move || {
             let mut observations = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            let mut mid_run_spans = 0usize;
+            halfway.wait();
+            loop {
                 let snapshot = sink.snapshot();
                 // Mid-flight invariant: a snapshot never invents or loses
                 // spans — retained + dropped covers exactly what had been
                 // recorded by some point of the interleaving.
                 assert!(snapshot.spans.len() as u64 + snapshot.dropped_spans <= TOTAL_SPANS as u64);
+                if observations == 0 {
+                    mid_run_spans = snapshot.spans.len();
+                }
                 observations += 1;
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
                 std::thread::yield_now();
             }
-            observations
+            (observations, mid_run_spans)
         })
     };
 
-    for _ in 0..TOTAL_SPANS {
-        let _span = sink.span(Stage::LaneGroupExecute);
+    for i in 0..TOTAL_SPANS {
+        if i == TOTAL_SPANS / 2 {
+            halfway.wait();
+        }
+        let _span = sink.span(Stage::ScalarExecute);
     }
     stop.store(true, Ordering::Release);
-    let observations = sampler.join().expect("sampler thread completes");
+    let (observations, mid_run_spans) = sampler.join().expect("sampler thread completes");
     assert!(observations > 0, "the sampler observed the run");
+    assert!(
+        mid_run_spans > 0,
+        "the snapshot after the barrier holds the first half's spans"
+    );
 
     // The writer is single-threaded, so the ring holds the last
     // RING_CAPACITY spans and dropped counts the rest — snapshots along the

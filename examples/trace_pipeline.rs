@@ -1,9 +1,8 @@
 //! Observability demo: runs the Gaussian-blur → edge-detector accelerator
 //! with a [`TelemetrySink`] attached and prints where the time went — the
 //! per-stage span breakdown (plan-cache hits vs misses vs retargets vs
-//! lane-group vs scalar execution), the counters behind the
-//! [`sc_image::PipelineStats`] view, and the lane-group fill distribution —
-//! then writes a chrome://tracing trace-event file of the whole run.
+//! per-tile execution), the counters behind the [`sc_image::PipelineStats`]
+//! view, and the tiles per plan class — then writes a chrome://tracing trace-event file of the whole run.
 //!
 //! Run with `cargo run --release --example trace_pipeline`. The trace is
 //! written to `trace_pipeline.json` in the current directory (or to the path
@@ -19,8 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "trace_pipeline.json".into());
 
     // A 40×40 synthetic scene in 10-pixel tiles: 16 tiles in a handful of
-    // plan classes, so the run shows cache hits, retargets, and lane-batched
-    // groups — not just compiles.
+    // plan classes, so the run shows cache hits and retargets — not just
+    // compiles.
     let size = 40;
     let blob = GrayImage::gaussian_blob(size, size);
     let image = GrayImage::from_fn(size, size, |x, y| {
@@ -65,16 +64,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.counter(Counter::RepairsInserted),
     );
     println!(
-        "jobs: {} lane-batched + {} scalar of {} pulled (peak {} in flight)",
-        stats.lane_batched_jobs, stats.scalar_jobs, stats.tiles, stats.peak_live_plans
+        "jobs: {} pulled for {} tiles (peak {} in flight)",
+        report.counter(Counter::JobsPulled),
+        stats.tiles,
+        stats.peak_live_plans
     );
-    let fill: Vec<String> = stats
-        .lane_group_fill
+    let classes: Vec<String> = stats
+        .classes
         .iter()
-        .enumerate()
-        .map(|(k, &groups)| format!("{}-fill x{groups}", k + 1))
+        .map(|class| format!("{}: {}", class.plan_class, class.jobs))
         .collect();
-    println!("lane-group fill: {}", fill.join(", "));
+    println!("tiles per plan class: {}", classes.join(", "));
 
     std::fs::write(&trace_path, report.to_chrome_trace())?;
     println!("\nwrote {trace_path} — open it at chrome://tracing or ui.perfetto.dev");

@@ -1,7 +1,8 @@
 //! Serving-tier integration tests: the warm [`sc_graph::Service`] edge cases
 //! (deadlines, cancellation, bounded intake, first-error ordering,
-//! attribution) and the [`sc_image::ImageServer`] front (bit-identity with
-//! the one-shot pipeline, cross-request lane batching, bounded plan cache).
+//! attribution, the shared dispatch window) and the
+//! [`sc_image::ImageServer`] front (bit-identity with the one-shot pipeline,
+//! bounded plan cache).
 
 use sc_graph::{
     BatchInput, BinaryOp, Graph, GraphError, PlannerOptions, Request, RequestError, Service,
@@ -12,12 +13,12 @@ use sc_image::{
     PipelineVariant, TilePlanner,
 };
 use sc_rng::SourceSpec;
-use sc_telemetry::{Counter, Stage, TelemetrySink};
+use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One compiled two-source XOR plan; every job built from it shares a
-/// `plan_class`, so same-plan jobs lane-batch.
+/// `plan_class`.
 fn xor_plan() -> Arc<sc_graph::CompiledGraph> {
     let mut g = Graph::new();
     let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
@@ -196,7 +197,7 @@ fn attribution_segments_sum_to_request_wall_clock() {
         "attribution segments partition the request wall-clock exactly"
     );
     assert!(a.wall_ns > 0, "a real request takes nonzero time");
-    assert_eq!(report.lane_batched_jobs + report.scalar_jobs, 6);
+    assert_eq!(report.outputs.len(), 6);
     drop(service);
     let report = sink.drain();
     // The serving stages are first-class members of the static registry.
@@ -219,39 +220,40 @@ fn attribution_segments_sum_to_request_wall_clock() {
 }
 
 #[test]
-fn tiles_from_concurrent_requests_lane_batch_together() {
-    // Two requests of two same-class jobs each: the dispatcher's round-robin
-    // intake interleaves them into one four-lane group. The submit gap is
-    // microseconds against a 50 ms coalescing wait, but the scheduler can in
-    // principle starve the second submit, so allow a few attempts.
-    let mut cross = 0usize;
-    for _ in 0..5 {
-        let sink = TelemetrySink::new();
-        let service = Service::start(
-            ServiceConfig::new(4096)
-                .with_threads(1)
-                .with_window(4)
-                .with_telemetry(sink.clone()),
-        );
-        let plan = xor_plan();
-        let a = service
-            .submit(Request::new(vec![ok_job(&plan), ok_job(&plan)]))
-            .expect("submit a");
-        let b = service
-            .submit(Request::new(vec![ok_job(&plan), ok_job(&plan)]))
-            .expect("submit b");
-        let ra = a.wait().expect("a completes");
-        let rb = b.wait().expect("b completes");
-        assert_eq!(ra.cross_request_lane_jobs, rb.cross_request_lane_jobs);
-        drop(service);
-        cross = sink.drain().counter(Counter::CrossRequestLaneJobs) as usize;
-        if cross > 0 {
-            assert_eq!(cross, 4, "all four jobs share one mixed lane group");
-            assert_eq!(ra.cross_request_lane_jobs, 2);
-            break;
-        }
+fn window_occupancy_gauge_stays_within_the_dispatch_window() {
+    // Several concurrent requests of several jobs each keep the shared
+    // window busy; the dispatcher reports its occupancy on every change.
+    let window = 3;
+    let sink = TelemetrySink::new();
+    let service = Service::start(
+        ServiceConfig::new(4096)
+            .with_threads(2)
+            .with_window(window)
+            .with_telemetry(sink.clone()),
+    );
+    let plan = xor_plan();
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            service
+                .submit(Request::new((0..5).map(|_| ok_job(&plan)).collect()))
+                .expect("submit succeeds")
+        })
+        .collect();
+    for handle in handles {
+        assert_eq!(handle.wait().expect("request completes").outputs.len(), 5);
     }
-    assert!(cross > 0, "no attempt produced a cross-request lane group");
+    drop(service);
+    let report = sink.drain();
+    let (current, peak) = report.gauge(Gauge::WindowOccupancy);
+    assert!(peak > 0, "the window held jobs");
+    assert!(
+        peak <= window as u64,
+        "peak occupancy {peak} exceeds the window {window}"
+    );
+    assert_eq!(current, 0, "every job left the window");
+    let occupancy = report.histogram(Hist::WindowOccupancy);
+    assert_eq!(occupancy.count, 2 * 20, "one sample per entry and per exit");
+    assert!(occupancy.quantile(1.0) <= window as u64);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! End-to-end observability acceptance tests: an image-pipeline run under an
 //! attached [`TelemetrySink`] yields a report whose per-stage span totals
 //! cover the run's wall-clock, whose counters agree with the returned
-//! [`sc_image::PipelineStats`] view, whose lane-group fill distribution is
-//! populated, and whose chrome://tracing export is structurally valid JSON.
+//! [`sc_image::PipelineStats`] view, and whose chrome://tracing export is
+//! structurally valid JSON.
 //! The continuous-telemetry layer is pinned end to end too: interval deltas
 //! sampled while the pipeline dispatches must sum to the cumulative report,
 //! the per-plan-class breakdown must surface through both
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A 24×24 blob-plus-gradient image: 16 full-size 6-pixel tiles in 2 bank
-/// phases, so the plan cache hits 14 times and same-class tiles lane-batch.
+/// phases, so the plan cache hits 14 times.
 fn test_image() -> GrayImage {
     let blob = GrayImage::gaussian_blob(24, 24);
     GrayImage::from_fn(24, 24, |x, y| {
@@ -38,10 +38,9 @@ fn instrumented_config(sink: &TelemetrySink) -> PipelineConfig {
     .with_telemetry(sink.clone())
 }
 
-/// Jobs a report says were executed: one `execute.scalar` span per scalar
-/// job plus each `execute.lane_group` span's group size carried in its arg.
+/// Jobs a report says were executed: one `execute.scalar` span per job.
 fn executed_jobs(report: &sc_telemetry::TelemetryReport) -> u64 {
-    report.stage_totals(Stage::ScalarExecute).0 + report.stage_args_total(Stage::LaneGroupExecute)
+    report.stage_totals(Stage::ScalarExecute).0
 }
 
 /// At one thread the whole run is sequential on the caller's thread, so the
@@ -80,7 +79,6 @@ fn pipeline_span_totals_cover_wall_clock() {
     let nested: u64 = [
         Stage::PlanCacheHit,
         Stage::PlanCacheMiss,
-        Stage::LaneGroupExecute,
         Stage::ScalarExecute,
     ]
     .into_iter()
@@ -93,10 +91,9 @@ fn pipeline_span_totals_cover_wall_clock() {
     );
 }
 
-/// The report's counters, the fill distribution, and the returned
-/// [`sc_image::PipelineStats`] are views over the same tallies: tiles,
-/// cache hits/misses, the lane/scalar split, and the per-fill group counts
-/// all agree, and every pulled job closed exactly one span.
+/// The report's counters and the returned [`sc_image::PipelineStats`] are
+/// views over the same tallies: tiles and cache hits/misses agree, and
+/// every pulled job closed exactly one span.
 #[test]
 fn pipeline_report_agrees_with_stats_view() {
     let sink = TelemetrySink::new();
@@ -123,38 +120,6 @@ fn pipeline_report_agrees_with_stats_view() {
     assert!(
         report.counter(Counter::RepairsInserted) >= 1,
         "the synchronizer variant's repairs are planner-inserted"
-    );
-
-    // Satellite: the lane-batched/scalar split and the fill distribution
-    // surface through PipelineStats and match the sink's cumulative view.
-    assert_eq!(stats.lane_batched_jobs + stats.scalar_jobs, stats.tiles);
-    assert!(
-        stats.lane_batched_jobs > 0,
-        "same-class tiles of a 16-tile image lane-batch inside the window"
-    );
-    let batched: usize = stats
-        .lane_group_fill
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(k, &groups)| (k + 1) * groups)
-        .sum();
-    assert_eq!(batched, stats.lane_batched_jobs);
-    let fill = report.lane_group_fill();
-    assert!(
-        fill.iter().any(|&count| count > 0),
-        "the lane-group fill histogram is populated"
-    );
-    for (k, &groups) in stats.lane_group_fill.iter().enumerate() {
-        assert_eq!(fill[k], groups as u64, "fill-{} group count", k + 1);
-    }
-    assert_eq!(
-        report.counter(Counter::LaneBatchedJobs),
-        stats.lane_batched_jobs as u64
-    );
-    assert_eq!(
-        report.counter(Counter::ScalarJobs),
-        stats.scalar_jobs as u64
     );
 
     // Every pulled job closed exactly one execute span and one latency sample.
@@ -309,7 +274,7 @@ fn snapshot_deltas_sum_to_cumulative_across_a_live_run() {
         }
         latency_count_sum += delta.histogram(Hist::JobLatencyNs).count;
         for class in delta.classes() {
-            *class_job_sums.entry(class.plan_class).or_default() += class.jobs();
+            *class_job_sums.entry(class.plan_class).or_default() += class.jobs;
         }
         if finished {
             break;
@@ -336,7 +301,7 @@ fn snapshot_deltas_sum_to_cumulative_across_a_live_run() {
     for class in cumulative.classes() {
         assert_eq!(
             class_job_sums.get(&class.plan_class).copied().unwrap_or(0),
-            class.jobs(),
+            class.jobs,
             "per-class deltas for {:?} must sum to the cumulative tally",
             class.plan_class
         );
@@ -364,11 +329,7 @@ fn pipeline_stats_expose_the_per_class_breakdown() {
             .all(|w| w[0].plan_class < w[1].plan_class),
         "classes are reported in class-id order without duplicates"
     );
-    let class_jobs: usize = stats
-        .classes
-        .iter()
-        .map(sc_graph::PlanClassStats::jobs)
-        .sum();
+    let class_jobs: usize = stats.classes.iter().map(|class| class.jobs).sum();
     assert_eq!(class_jobs, stats.tiles, "classes partition the run's jobs");
     assert_eq!(
         stats.classes.len(),
@@ -380,17 +341,12 @@ fn pipeline_stats_expose_the_per_class_breakdown() {
         let sink_class = report
             .class(class.plan_class)
             .expect("every executed class appears in the sink report");
-        assert_eq!(sink_class.lane_batched_jobs, class.lane_batched_jobs as u64);
-        assert_eq!(sink_class.scalar_jobs, class.scalar_jobs as u64);
+        assert_eq!(sink_class.jobs, class.jobs as u64);
         assert_eq!(
-            sink_class.latency.count,
-            class.jobs() as u64,
+            sink_class.latency.count, class.jobs as u64,
             "one latency sample per job of class {}",
             class.plan_class
         );
-        for (k, &groups) in class.lane_group_fill.iter().enumerate() {
-            assert_eq!(sink_class.lane_group_fill[k], groups as u64);
-        }
     }
 }
 
