@@ -42,18 +42,18 @@ use sc_rng::SourceSpec;
 use sc_telemetry::TelemetrySink;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Process-wide monotonic counter behind [`CompiledGraph::plan_class`]: every
-/// `compile` call mints a fresh class, and clones / retargeted copies keep
-/// their template's class.
+/// `compile` call mints a fresh class for its template, and clones /
+/// retargeted copies share that template.
 static PLAN_CLASS: AtomicU64 = AtomicU64::new(0);
 
-/// Mints the class id for a freshly compiled plan: a process-unique sequence
-/// number tagged (in the low bits) with the enabled pass set, so plans
-/// compiled under different optimizer configurations can never share a
-/// class even if a future cache grows collision-prone.
-pub(crate) fn next_plan_class(passes: PassSet) -> u64 {
-    (PLAN_CLASS.fetch_add(1, Ordering::Relaxed) << 4) | passes.bits()
+/// Mints the class id of a freshly emitted template. A template's address
+/// would not do: after a cache evicts one, the allocator may hand its
+/// address to the next, merging two classes' telemetry.
+pub(crate) fn next_plan_class() -> u64 {
+    PLAN_CLASS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Selects which optimizer passes of the compile pipeline run. The
@@ -104,16 +104,6 @@ impl PassSet {
             fusion: false,
             dce: false,
         }
-    }
-
-    /// Compact bit encoding (4 bits), folded into
-    /// [`CompiledGraph::plan_class`].
-    #[must_use]
-    pub fn bits(self) -> u64 {
-        u64::from(self.cse)
-            | (u64::from(self.cost_repair) << 1)
-            | (u64::from(self.fusion) << 2)
-            | (u64::from(self.dce) << 3)
     }
 }
 
@@ -318,8 +308,9 @@ pub enum Step {
     Generate {
         /// Index into the batch item's value list.
         slot: usize,
-        /// Comparator sample source.
-        source: SourceSpec,
+        /// Comparator sample source, an index into
+        /// [`CompiledGraph::sources`].
+        source: usize,
         /// Samples the source has already served to earlier consumers.
         skip: u64,
         /// Destination stream slot.
@@ -329,8 +320,9 @@ pub enum Step {
     Constant {
         /// The encoded probability.
         probability: f64,
-        /// Comparator sample source.
-        source: SourceSpec,
+        /// Comparator sample source, an index into
+        /// [`CompiledGraph::sources`].
+        source: usize,
         /// Samples the source has already served to earlier consumers.
         skip: u64,
         /// Destination stream slot.
@@ -351,8 +343,9 @@ pub enum Step {
     },
     /// S/D + D/S regeneration from a fresh source.
     Regenerate {
-        /// Re-encoding sample source.
-        source: SourceSpec,
+        /// Re-encoding sample source, an index into
+        /// [`CompiledGraph::sources`].
+        source: usize,
         /// Samples the source has already served to earlier consumers.
         skip: u64,
         /// Input stream slot.
@@ -389,8 +382,9 @@ pub enum Step {
     },
     /// The feedback SC divider.
     Divide {
-        /// Comparison sample source.
-        source: SourceSpec,
+        /// Comparison sample source, an index into
+        /// [`CompiledGraph::sources`].
+        source: usize,
         /// Samples the source has already served to earlier consumers.
         skip: u64,
         /// Integration counter width.
@@ -404,8 +398,8 @@ pub enum Step {
     },
     /// MUX scaled adder with a dedicated 0.5-valued select source.
     MuxAdd {
-        /// Select-stream source.
-        select: SourceSpec,
+        /// Select-stream source, an index into [`CompiledGraph::sources`].
+        select: usize,
         /// Samples the source has already served to earlier consumers.
         skip: u64,
         /// X input slot (picked when the select bit is 1).
@@ -419,8 +413,9 @@ pub enum Step {
     WeightedMux {
         /// Per-input selection probabilities, in input order.
         weights: Vec<f64>,
-        /// Selection sample source.
-        select: SourceSpec,
+        /// Selection sample source, an index into
+        /// [`CompiledGraph::sources`].
+        select: usize,
         /// Samples the source has already served to earlier consumers.
         skip: u64,
         /// Input stream slots, one per weight.
@@ -480,174 +475,140 @@ pub enum Step {
 /// Produced by [`Graph::compile`]; executed by [`crate::Executor`]. The plan
 /// is immutable and `Send + Sync`, so one compiled graph can drive many
 /// worker threads at once.
+///
+/// A plan is two parts: a template — steps, slot counts, ops, report, pass
+/// set and class — shared through an `Arc` by every clone and
+/// [`CompiledGraph::retarget_sources`] copy, and a small per-plan table of
+/// the distinct [`SourceSpec`]s its steps draw ([`CompiledGraph::sources`]).
+/// Steps name their sample source by index into that table, so cloning or
+/// retargeting a plan copies only the table.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
+    pub(crate) template: Arc<PlanTemplate>,
+    pub(crate) sources: Box<[SourceSpec]>,
+}
+
+/// The source-independent part of a [`CompiledGraph`], built once by the
+/// emit stage.
+#[derive(Debug)]
+pub(crate) struct PlanTemplate {
     pub(crate) steps: Vec<Step>,
     pub(crate) slot_count: usize,
     pub(crate) value_slots: usize,
     pub(crate) stream_slots: usize,
-    report: CompileReport,
+    pub(crate) report: CompileReport,
     /// Every operation the plan executes (graph nodes plus planner-inserted
     /// repairs), for introspection and the `sc_hwcost` bridge.
-    ops: Vec<NodeOp>,
+    pub(crate) ops: Vec<NodeOp>,
     /// The optimizer pass set the plan was compiled under.
-    passes: PassSet,
-    /// Template-class id: fresh per `compile` call, preserved by `Clone` and
-    /// [`CompiledGraph::retarget_sources`]. Two plans of one class are
-    /// structurally identical step for step (only their [`SourceSpec`]s may
-    /// differ), which is what per-class attribution keys on. The low bits
-    /// encode [`PassSet::bits`].
-    class: u64,
+    pub(crate) passes: PassSet,
+    /// Template-class id from [`next_plan_class`] (see
+    /// [`CompiledGraph::plan_class`]).
+    pub(crate) class: u64,
 }
 
 impl CompiledGraph {
-    /// Builds a plan from the emit stage's artifacts, minting its class id.
-    pub(crate) fn assemble(
-        steps: Vec<Step>,
-        slot_count: usize,
-        value_slots: usize,
-        stream_slots: usize,
-        report: CompileReport,
-        ops: Vec<NodeOp>,
-        passes: PassSet,
-    ) -> CompiledGraph {
-        CompiledGraph {
-            steps,
-            slot_count,
-            value_slots,
-            stream_slots,
-            report,
-            ops,
-            passes,
-            class: next_plan_class(passes),
-        }
-    }
-
     /// What the pipeline inserted, merged, left unrepaired, and fused.
     #[must_use]
     pub fn report(&self) -> &CompileReport {
-        &self.report
+        &self.template.report
     }
 
     /// Every operation the plan executes, including auto-inserted repair
     /// manipulators.
+    ///
+    /// The ops belong to the shared template, so their [`SourceSpec`]s are
+    /// the ones the template was compiled with: a
+    /// [`CompiledGraph::retarget_sources`] copy reports its rewritten specs
+    /// through [`CompiledGraph::sources`] only.
     #[must_use]
     pub fn ops(&self) -> &[NodeOp] {
-        &self.ops
+        &self.template.ops
     }
 
     /// The optimizer pass set the plan was compiled under.
     #[must_use]
     pub fn passes(&self) -> PassSet {
-        self.passes
+        self.template.passes
     }
 
     /// Number of executable steps (fused runs and fused spans count once).
     #[must_use]
     pub fn step_count(&self) -> usize {
-        self.steps.len()
+        self.template.steps.len()
     }
 
     /// The executable steps, in scheduled order — the exact structure the
     /// executor runs and lowering backends elaborate.
     #[must_use]
     pub fn steps(&self) -> &[Step] {
-        &self.steps
+        &self.template.steps
+    }
+
+    /// The distinct sample sources the plan's steps draw, in first-use
+    /// order. A step's `source` / `select` field is an index into this
+    /// table; equal indices share one physical generator (§II.B).
+    #[must_use]
+    pub fn sources(&self) -> &[SourceSpec] {
+        &self.sources
     }
 
     /// Number of dense stream slots an execution environment needs.
     #[must_use]
     pub fn slot_count(&self) -> usize {
-        self.slot_count
+        self.template.slot_count
     }
 
     /// The plan's template class: a process-unique id minted per
     /// [`Graph::compile`] call and *shared* by every clone and
     /// [`CompiledGraph::retarget_sources`] copy of that plan. Plans of one
-    /// class are structurally identical (same steps, slots, and scheduling;
-    /// only source seeding may differ), so the executor and the telemetry
-    /// sink attribute job counts and latency per class: a report names
-    /// *which* compiled template is slow. The low four bits encode the
-    /// compiled [`PassSet`], so differently optimized builds of one graph
-    /// can never collide.
+    /// class share one template (same steps, slots, and scheduling; only
+    /// their [`CompiledGraph::sources`] may differ), so the executor and the
+    /// telemetry sink attribute job counts and latency per class: a report
+    /// names *which* compiled template is slow.
     #[must_use]
     pub fn plan_class(&self) -> u64 {
-        self.class
+        self.template.class
     }
 
-    /// Returns a copy of the plan with every stored [`SourceSpec`] rewritten
-    /// by `retarget` (`None` keeps the spec unchanged). Wiring, slots, skips,
-    /// and scheduling are untouched, so the copy is exactly as valid as the
-    /// original.
+    /// Returns a copy of the plan with every entry of its
+    /// [`CompiledGraph::sources`] table rewritten by `retarget` (`None`
+    /// keeps the spec unchanged). The copy shares this plan's template —
+    /// wiring, slots, skips, scheduling, ops, report and class — so it is
+    /// exactly as valid as the original and costs one table copy.
     ///
     /// This exists so one compiled plan can serve as a *template* for a
     /// family of structurally identical designs that differ only in source
     /// seeding — e.g. `sc_image` compiles one plan per tile shape and
     /// retargets the per-tile select-LFSR seeds, instead of re-running the
     /// whole compiler per tile. Retargeting must preserve the spec *equality
-    /// structure* the planner reasoned about (two equal specs must stay
-    /// equal, two different specs must stay different); seed-only rewrites
-    /// within one family do.
+    /// structure* the planner reasoned about (two different specs must stay
+    /// different); seed-only rewrites within one family do.
     #[must_use]
     pub fn retarget_sources<F: Fn(&SourceSpec) -> Option<SourceSpec>>(
         &self,
         retarget: F,
     ) -> CompiledGraph {
-        fn swap_step<F: Fn(&SourceSpec) -> Option<SourceSpec>>(step: &mut Step, retarget: &F) {
-            match step {
-                Step::Generate { source, .. }
-                | Step::Constant { source, .. }
-                | Step::Regenerate { source, .. }
-                | Step::Divide { source, .. } => {
-                    if let Some(new) = retarget(source) {
-                        *source = new;
-                    }
-                }
-                Step::MuxAdd { select, .. } | Step::WeightedMux { select, .. } => {
-                    if let Some(new) = retarget(select) {
-                        *select = new;
-                    }
-                }
-                Step::Fused { steps } => {
-                    for sub in steps {
-                        swap_step(sub, retarget);
-                    }
-                }
-                _ => {}
-            }
+        CompiledGraph {
+            template: Arc::clone(&self.template),
+            sources: self
+                .sources
+                .iter()
+                .map(|spec| retarget(spec).unwrap_or_else(|| spec.clone()))
+                .collect(),
         }
-        let swap = |spec: &mut SourceSpec| {
-            if let Some(new) = retarget(spec) {
-                *spec = new;
-            }
-        };
-        let mut plan = self.clone();
-        for step in &mut plan.steps {
-            swap_step(step, &retarget);
-        }
-        for op in &mut plan.ops {
-            match op {
-                NodeOp::Generate { source, .. }
-                | NodeOp::ConstStream { source, .. }
-                | NodeOp::Regenerate { source, .. }
-                | NodeOp::Divide { source, .. } => swap(source),
-                NodeOp::MuxAdd { select, .. } | NodeOp::WeightedMux { select, .. } => swap(select),
-                _ => {}
-            }
-        }
-        plan
     }
 
     /// Number of digital value slots the batch items must provide.
     #[must_use]
     pub fn value_slots(&self) -> usize {
-        self.value_slots
+        self.template.value_slots
     }
 
     /// Number of input stream slots the batch items must provide.
     #[must_use]
     pub fn stream_slots(&self) -> usize {
-        self.stream_slots
+        self.template.stream_slots
     }
 }
 
@@ -749,8 +710,7 @@ mod tests {
         };
         let optimized = build(PassSet::all());
         let baseline = build(PassSet::none());
-        assert_eq!(optimized.plan_class() & 0b1111, PassSet::all().bits());
-        assert_eq!(baseline.plan_class() & 0b1111, 0);
+        assert_ne!(optimized.plan_class(), baseline.plan_class());
         assert_eq!(optimized.passes(), PassSet::all());
         assert_eq!(baseline.passes(), PassSet::none());
     }
@@ -1010,6 +970,40 @@ mod tests {
             exec.run(&retargeted, &input).unwrap(),
             exec.run(&template, &input).unwrap()
         );
+    }
+
+    #[test]
+    fn retargeted_plans_share_their_template() {
+        let lfsr = |seed| SourceSpec::Lfsr { width: 16, seed };
+        let mut g = Graph::new();
+        let x = g.generate(0, sobol(1));
+        let y = g.generate(1, sobol(1));
+        let z = g.generate(2, sobol(2));
+        let a = g.mux_add(x, y, lfsr(0xACE1));
+        let b = g.mux_add_skipped(a, z, lfsr(0xACE1), 64);
+        let c = g.mux_add(b, x, lfsr(0x7331));
+        g.sink_value("c", c);
+        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        // One entry per distinct spec, in first-use order.
+        let sources = plan.sources();
+        for (i, spec) in sources.iter().enumerate() {
+            assert!(!sources[..i].contains(spec), "{spec} listed twice");
+        }
+        assert_eq!(sources.len(), 4);
+        assert_eq!(plan.report().shared_sources, 2);
+        let retargeted = plan.retarget_sources(|spec| match spec {
+            SourceSpec::Lfsr { width: 16, seed } if *seed == 0xACE1 => Some(lfsr(0xBEEF)),
+            _ => None,
+        });
+        assert!(std::ptr::eq(plan.steps(), retargeted.steps()));
+        assert!(std::ptr::eq(plan.clone().steps(), plan.steps()));
+        assert_eq!(retargeted.plan_class(), plan.plan_class());
+        let changed: Vec<(&SourceSpec, &SourceSpec)> = sources
+            .iter()
+            .zip(retargeted.sources())
+            .filter(|(old, new)| old != new)
+            .collect();
+        assert_eq!(changed, [(&lfsr(0xACE1), &lfsr(0xBEEF))]);
     }
 
     #[test]

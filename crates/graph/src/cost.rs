@@ -159,15 +159,16 @@ pub fn binary_netlist(op: BinaryOp) -> Netlist {
     }
 }
 
-/// The dedicated sample source a step draws from, if it has one.
+/// The dedicated sample source a step draws from, if it has one: an index
+/// into its plan's [`CompiledGraph::sources`].
 #[must_use]
-pub fn step_source(step: &Step) -> Option<&SourceSpec> {
+pub fn step_source(step: &Step) -> Option<usize> {
     match step {
         Step::Generate { source, .. }
         | Step::Constant { source, .. }
         | Step::Regenerate { source, .. }
-        | Step::Divide { source, .. } => Some(source),
-        Step::MuxAdd { select, .. } | Step::WeightedMux { select, .. } => Some(select),
+        | Step::Divide { source, .. } => Some(*source),
+        Step::MuxAdd { select, .. } | Step::WeightedMux { select, .. } => Some(*select),
         _ => None,
     }
 }
@@ -215,24 +216,25 @@ pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
     }
 }
 
-/// Netlist of one *scheduled step* of a compiled plan: its logic plus its
-/// own sample source. Equivalent to summing [`node_netlist`] over the step's
-/// operations, but with access to execution arity: a fused manipulator run is
-/// the sum of its chained circuits, an APC sum sink over `k` lanes includes
-/// its `k − 1`-adder reduction tree, and a fused span is the sum of its
-/// sub-steps (so fused and unfused plans cost identically).
+/// Netlist of one *scheduled step* of a compiled plan whose source table is
+/// `sources`: its logic plus its own sample source. Equivalent to summing
+/// [`node_netlist`] over the step's operations, but with access to execution
+/// arity: a fused manipulator run is the sum of its chained circuits, an APC
+/// sum sink over `k` lanes includes its `k − 1`-adder reduction tree, and a
+/// fused span is the sum of its sub-steps (so fused and unfused plans cost
+/// identically).
 #[must_use]
-pub fn step_netlist(step: &Step, converter_bits: u32) -> Netlist {
+pub fn step_netlist(step: &Step, sources: &[SourceSpec], converter_bits: u32) -> Netlist {
     if let Step::Fused { steps } = step {
         let mut n = Netlist::new("fused-span");
         for sub in steps {
-            n.merge(&step_netlist(sub, converter_bits));
+            n.merge(&step_netlist(sub, sources, converter_bits));
         }
         return n;
     }
     let mut n = step_logic_netlist(step, converter_bits);
-    if let Some(spec) = step_source(step) {
-        n.merge(&source_netlist(spec, converter_bits));
+    if let Some(source) = step_source(step) {
+        n.merge(&source_netlist(&sources[source], converter_bits));
     }
     n
 }
@@ -245,42 +247,27 @@ pub fn step_netlist(step: &Step, converter_bits: u32) -> Netlist {
 pub fn compiled_netlist(plan: &CompiledGraph, name: &str, converter_bits: u32) -> Netlist {
     let mut total = Netlist::new(name);
     for step in plan.steps() {
-        total.merge(&step_netlist(step, converter_bits));
+        total.merge(&step_netlist(step, plan.sources(), converter_bits));
     }
     total
 }
 
 /// [`compiled_netlist`] under the executor's source-sharing model: every
-/// step's logic is priced in full, but each distinct [`SourceSpec`] is priced
-/// **once** — exactly one physical sample generator per spec, which is the
-/// shared-RNG hardware of §II.B (and why the executor can draw each spec's
-/// samples once per job and share them). This is the honest cost view for CSE'd plans,
-/// where merged subgraphs deliberately lean on repeated specs.
+/// step's logic is priced in full, but each entry of the plan's
+/// [`CompiledGraph::sources`] table — one per distinct [`SourceSpec`] — is
+/// priced **once**: exactly one physical sample generator per spec, which is
+/// the shared-RNG hardware of §II.B (and why the executor can draw each
+/// spec's samples once per job and share them). This is the honest cost view
+/// for CSE'd plans, where merged subgraphs deliberately lean on repeated
+/// specs.
 #[must_use]
 pub fn compiled_netlist_shared(plan: &CompiledGraph, name: &str, converter_bits: u32) -> Netlist {
-    fn add_step<'a>(
-        step: &'a Step,
-        converter_bits: u32,
-        total: &mut Netlist,
-        seen: &mut std::collections::HashSet<&'a SourceSpec>,
-    ) {
-        if let Step::Fused { steps } = step {
-            for sub in steps {
-                add_step(sub, converter_bits, total, seen);
-            }
-            return;
-        }
-        total.merge(&step_logic_netlist(step, converter_bits));
-        if let Some(spec) = step_source(step) {
-            if seen.insert(spec) {
-                total.merge(&source_netlist(spec, converter_bits));
-            }
-        }
-    }
     let mut total = Netlist::new(name);
-    let mut seen = std::collections::HashSet::new();
     for step in plan.steps() {
-        add_step(step, converter_bits, &mut total, &mut seen);
+        total.merge(&step_logic_netlist(step, converter_bits));
+    }
+    for spec in plan.sources() {
+        total.merge(&source_netlist(spec, converter_bits));
     }
     total
 }

@@ -3,12 +3,12 @@
 //! Every random sample a plan consumes depends only on `(SourceSpec, skip,
 //! length)`, never on the data: the hardware shares one generator across
 //! many D/S converters and MUX selects (§II.B), and the plan expresses that
-//! sharing as equal specs at different skips. The executor therefore draws
-//! each sample window without a live source — a slice of a process-wide
-//! LFSR period table ([`SourceSpec::table_window`]) or one batched
-//! [`SourceSpec::fill_samples`] call, memoized per job — and builds output
-//! streams a 64-bit word at a time by *comparing* samples against bounds
-//! instead of walking a source bit by bit.
+//! sharing as one source-table entry drawn at different skips. The executor
+//! therefore draws each sample window without a live source — a slice of a
+//! process-wide LFSR period table ([`SourceSpec::table_window`]) or one
+//! batched [`SourceSpec::fill_samples`] call, memoized per job — and builds
+//! output streams a 64-bit word at a time by *comparing* samples against
+//! bounds instead of walking a source bit by bit.
 
 use sc_bitstream::{Bitstream, WORD_BITS};
 use sc_rng::{SourceSpec, TableWindow};
@@ -16,8 +16,10 @@ use sc_telemetry::{Counter, TelemetrySink};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// One job's memo of drawn sample windows, keyed `(spec, skip, length)`,
-/// and of weighted-MUX select thresholds; dropped with the job.
+/// One job's memo of drawn sample windows, keyed `(source, skip, length)`
+/// where `source` indexes the plan's source table, and of weighted-MUX
+/// select thresholds; dropped with the job. One memo serves one job on one
+/// plan, so an index names one spec for the memo's whole life.
 ///
 /// Table-backed LFSR windows — every MUX select in the `sc_image` tiles —
 /// need no memo: they are slices of the shared period table. Every other
@@ -35,8 +37,8 @@ pub(crate) struct SampleMemo {
     table_builds: u64,
 }
 
-/// A sample window's identity: `(spec, skip, length)`.
-type WindowKey = (SourceSpec, u64, usize);
+/// A sample window's identity: `(source index, skip, length)`.
+type WindowKey = (usize, u64, usize);
 
 /// A weight vector's bit patterns and its select thresholds.
 type ThresholdEntry = (Box<[u64]>, Rc<[f64]>);
@@ -66,8 +68,15 @@ impl SampleMemo {
         t
     }
 
-    /// The `len` samples of `spec` that follow its first `skip`.
-    pub(crate) fn window(&mut self, spec: &SourceSpec, skip: u64, len: usize) -> Window<'_> {
+    /// The `len` samples of `spec` — entry `source` of the plan's source
+    /// table — that follow its first `skip`.
+    pub(crate) fn window(
+        &mut self,
+        source: usize,
+        spec: &SourceSpec,
+        skip: u64,
+        len: usize,
+    ) -> Window<'_> {
         if let Some(window) = spec.table_window(skip, len) {
             self.table_builds += u64::from(window.built);
             return Window::Table(window);
@@ -75,7 +84,7 @@ impl SampleMemo {
         let (hits, misses) = (&mut self.hits, &mut self.misses);
         let units = self
             .windows
-            .entry((spec.clone(), skip, len))
+            .entry((source, skip, len))
             .and_modify(|_| *hits += 1)
             .or_insert_with(|| {
                 *misses += 1;
@@ -310,18 +319,18 @@ mod tests {
     fn memo_reuses_windows_and_counts() {
         let spec = SourceSpec::Sobol { dimension: 3 };
         let mut memo = SampleMemo::default();
-        let first = units(memo.window(&spec, 0, 65));
+        let first = units(memo.window(0, &spec, 0, 65));
         assert_eq!(first, spec.build_skipped(0).take_units(65));
-        assert_eq!(units(memo.window(&spec, 0, 65)), first);
-        let _ = memo.window(&spec, 1, 65);
-        let _ = memo.window(&spec, 0, 64);
+        assert_eq!(units(memo.window(0, &spec, 0, 65)), first);
+        let _ = memo.window(0, &spec, 1, 65);
+        let _ = memo.window(0, &spec, 0, 64);
         // Table-backed LFSR windows bypass the memo.
         let lfsr = SourceSpec::Lfsr {
             width: 16,
             seed: 0xACE1,
         };
         assert_eq!(
-            units(memo.window(&lfsr, 9, 100)),
+            units(memo.window(1, &lfsr, 9, 100)),
             lfsr.build_skipped(9).take_units(100)
         );
         assert_eq!((memo.hits, memo.misses), (1, 3));
@@ -355,7 +364,7 @@ mod tests {
                 for t in [0.0, 0.3, 0.5, 1.0] {
                     let expected = Bitstream::from_fn(len, |i| t > samples[i]);
                     assert_eq!(
-                        memo.window(&spec, 40, len).below(t),
+                        memo.window(0, &spec, 40, len).below(t),
                         expected,
                         "{spec} {len}"
                     );
@@ -363,7 +372,7 @@ mod tests {
                 let expected =
                     Bitstream::from_fn(len, |i| inputs[walk(&weights, samples[i])].bit(i));
                 assert_eq!(
-                    memo.window(&spec, 40, len).gather(&refs, &thresholds),
+                    memo.window(0, &spec, 40, len).gather(&refs, &thresholds),
                     expected,
                     "{spec} {len}"
                 );

@@ -8,6 +8,7 @@ use sc_arith::add::mux_add;
 use sc_bitstream::{scc, Bitstream, Probability};
 use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
 use sc_core::{CorrelationManipulator, ManipulatorChain};
+use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -435,19 +436,21 @@ fn execute_plan(
     input: &BatchInput,
     memo: &mut SampleMemo,
 ) -> Result<ExecOutput, GraphError> {
-    let mut env = ExecEnv::new(plan.slot_count);
-    for step in &plan.steps {
-        execute_step(n, step, input, &mut env, memo)?;
+    let mut env = ExecEnv::new(plan.slot_count());
+    for step in plan.steps() {
+        execute_step(n, step, plan.sources(), input, &mut env, memo)?;
     }
     Ok(env.out)
 }
 
 /// Executes one plan step against one job's environment. Every random
 /// sample comes from `memo`, and every D/S conversion or MUX select is built
-/// a word at a time by comparing against those samples.
+/// a word at a time by comparing against those samples. `sources` is the
+/// plan's source table, which the steps' source indices address.
 fn execute_step(
     n: usize,
     step: &Step,
+    sources: &[SourceSpec],
     input: &BatchInput,
     env: &mut ExecEnv,
     memo: &mut SampleMemo,
@@ -456,7 +459,7 @@ fn execute_step(
     // environment — bit-identical to the unfused schedule by construction.
     if let Step::Fused { steps } = step {
         for sub in steps {
-            execute_step(n, sub, input, env, memo)?;
+            execute_step(n, sub, sources, input, env, memo)?;
         }
         return Ok(());
     }
@@ -487,7 +490,10 @@ fn execute_step(
                         provided: input.values.len(),
                     })?;
                 let target = Probability::saturating(value).get();
-                slots[*dst] = Some(memo.window(source, *skip, n).below(target));
+                slots[*dst] = Some(
+                    memo.window(*source, &sources[*source], *skip, n)
+                        .below(target),
+                );
             }
             Step::Constant {
                 probability,
@@ -496,7 +502,10 @@ fn execute_step(
                 dst,
             } => {
                 let target = Probability::saturating(*probability).get();
-                slots[*dst] = Some(memo.window(source, *skip, n).below(target));
+                slots[*dst] = Some(
+                    memo.window(*source, &sources[*source], *skip, n)
+                        .below(target),
+                );
             }
             Step::Manipulate {
                 kinds,
@@ -535,7 +544,8 @@ fn execute_step(
                 } else {
                     let count = StochasticToDigital::convert_to_count(stream);
                     let target = Probability::from_ratio(count, len as u64).get();
-                    memo.window(source, *skip, len).below(target)
+                    memo.window(*source, &sources[*source], *skip, len)
+                        .below(target)
                 };
                 slots[*dst] = Some(regenerated);
             }
@@ -569,7 +579,7 @@ fn execute_step(
                 // The divider's comparisons depend on its own feedback state,
                 // so it steps a positioned source of its own.
                 let mut divider = sc_arith::divide::Divider::with_counter_bits(
-                    source.build_skipped(*skip),
+                    sources[*source].build_skipped(*skip),
                     *counter_bits,
                 );
                 let z = divider.divide(slot(slots, *x), slot(slots, *y))?;
@@ -585,7 +595,7 @@ fn execute_step(
                 let z = {
                     let (sx, sy) = (slot(slots, *x), slot(slots, *y));
                     let sel = memo
-                        .window(select, *skip, sx.len())
+                        .window(*select, &sources[*select], *skip, sx.len())
                         .below(Probability::HALF.get());
                     mux_add(sx, sy, &sel)?
                 };
@@ -608,7 +618,8 @@ fn execute_step(
                         }));
                     }
                     let thresholds = memo.thresholds(weights);
-                    memo.window(select, *skip, len).gather(&refs, &thresholds)
+                    memo.window(*select, &sources[*select], *skip, len)
+                        .gather(&refs, &thresholds)
                 };
                 slots[*dst] = Some(z);
             }
@@ -700,7 +711,8 @@ impl Executor {
         plan: &CompiledGraph,
         inputs: &[BatchInput],
     ) -> Result<Vec<ExecOutput>, GraphError> {
-        // One deep plan clone, shared by every job.
+        // One plan clone — a source-table copy sharing the template — for
+        // every job.
         let plan = Arc::new(plan.clone());
         self.run_stream(
             inputs.iter().map(|input| StreamJob {
@@ -1273,8 +1285,8 @@ mod tests {
     #[test]
     fn shared_source_cache_matches_per_step_positioning() {
         // Two MUX adders drawing from one logically shared select LFSR via
-        // per-node skips, in one plan (cache continues one instance) vs in
-        // two separate plans (each positions a fresh instance): identical.
+        // per-node skips, in one plan (both steps index one source-table
+        // entry) vs in two separate plans (each draws its own): identical.
         let n = 301usize;
         let select = SourceSpec::Lfsr {
             width: 16,

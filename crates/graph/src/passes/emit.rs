@@ -2,19 +2,25 @@
 //! emission in topological order.
 
 use super::Ir;
-use crate::compile::{CompileReport, CompiledGraph, PassDelta, PlannerOptions, Step};
+use crate::compile::{
+    next_plan_class, CompileReport, CompiledGraph, PassDelta, PlanTemplate, PlannerOptions, Step,
+};
 use crate::graph::GraphError;
 use crate::node::{NodeOp, Wire};
 use sc_rng::SourceSpec;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Walks the topological order over live nodes, collapses linear manipulator
 /// runs into [`sc_core::ManipulatorChain`] steps, realizes the span-fusion
 /// groups as [`Step::Fused`] steps, assigns dense slots, and emits the step
-/// list. Slot numbering is independent of span grouping: every node's step
-/// is built at its normal scheduling position and non-tail span members are
-/// merely stashed until their group's tail emits, so a fused plan and its
-/// unfused twin use identical slots and differ only in step nesting.
+/// list. Every distinct [`SourceSpec`] the steps draw gets one entry of the
+/// plan's source table, in first-use order, and steps refer to it by index
+/// just as they refer to stream slots. Slot numbering is independent of span
+/// grouping: every node's step is built at its normal scheduling position and
+/// non-tail span members are merely stashed until their group's tail emits,
+/// so a fused plan and its unfused twin use identical slots and differ only
+/// in step nesting.
 pub(crate) fn emit_steps(
     ir: &Ir,
     order: &[usize],
@@ -71,6 +77,18 @@ pub(crate) fn emit_steps(
         })
     };
 
+    // The plan's source table, and the number of source-drawing steps.
+    let mut sources: Vec<SourceSpec> = Vec::new();
+    let mut source_index: HashMap<&SourceSpec, usize> = HashMap::new();
+    let mut source_uses = 0usize;
+    let mut source_of = |spec| -> usize {
+        source_uses += 1;
+        *source_index.entry(spec).or_insert_with(|| {
+            sources.push(spec.clone());
+            sources.len() - 1
+        })
+    };
+
     let mut steps = Vec::new();
     let mut ops = Vec::new();
     let mut fused: Vec<bool> = vec![false; nodes.len()];
@@ -97,7 +115,7 @@ pub(crate) fn emit_steps(
                 let dst = slot_of(port(i, 0), &mut slots);
                 Step::Generate {
                     slot: *slot,
-                    source: source.clone(),
+                    source: source_of(source),
                     skip: *skip,
                     dst,
                 }
@@ -110,7 +128,7 @@ pub(crate) fn emit_steps(
                 let dst = slot_of(port(i, 0), &mut slots);
                 Step::Constant {
                     probability: *probability,
-                    source: source.clone(),
+                    source: source_of(source),
                     skip: *skip,
                     dst,
                 }
@@ -147,7 +165,7 @@ pub(crate) fn emit_steps(
                 let src = slot_of(inputs[0], &mut slots);
                 let dst = slot_of(port(i, 0), &mut slots);
                 Step::Regenerate {
-                    source: source.clone(),
+                    source: source_of(source),
                     skip: *skip,
                     src,
                     dst,
@@ -178,7 +196,7 @@ pub(crate) fn emit_steps(
                 let y = slot_of(inputs[1], &mut slots);
                 let dst = slot_of(port(i, 0), &mut slots);
                 Step::Divide {
-                    source: source.clone(),
+                    source: source_of(source),
                     skip: *skip,
                     counter_bits: *counter_bits,
                     x,
@@ -191,7 +209,7 @@ pub(crate) fn emit_steps(
                 let y = slot_of(inputs[1], &mut slots);
                 let dst = slot_of(port(i, 0), &mut slots);
                 Step::MuxAdd {
-                    select: select.clone(),
+                    select: source_of(select),
                     skip: *skip,
                     x,
                     y,
@@ -207,7 +225,7 @@ pub(crate) fn emit_steps(
                 let dst = slot_of(port(i, 0), &mut slots);
                 Step::WeightedMux {
                     weights: weights.clone(),
-                    select: select.clone(),
+                    select: source_of(select),
                     skip: *skip,
                     srcs,
                     dst,
@@ -262,16 +280,11 @@ pub(crate) fn emit_steps(
         }
     }
 
-    // Shared-source accounting: with CSE on, the executor's per-spec source
-    // cache means each distinct spec drives one physical sample generator;
-    // count the generator instances the sharing saves.
+    // Shared-source accounting: with CSE on, each distinct spec drives one
+    // physical sample generator; count the generator instances the sharing
+    // saves.
     if options.passes.cse {
-        let mut seen: HashSet<&SourceSpec> = HashSet::new();
-        let mut shared = 0usize;
-        for step in &steps {
-            count_shared(step, &mut seen, &mut shared);
-        }
-        report.shared_sources = shared;
+        report.shared_sources = source_uses - sources.len();
     }
 
     report.pass_deltas.push(PassDelta {
@@ -286,36 +299,17 @@ pub(crate) fn emit_steps(
         ),
     });
 
-    Ok(CompiledGraph::assemble(
-        steps,
-        slot_count,
-        value_slots,
-        stream_slots,
-        report,
-        ops,
-        options.passes,
-    ))
-}
-
-/// Counts repeated [`SourceSpec`] uses across a (possibly fused) step.
-fn count_shared<'a>(step: &'a Step, seen: &mut HashSet<&'a SourceSpec>, shared: &mut usize) {
-    let spec = match step {
-        Step::Generate { source, .. }
-        | Step::Constant { source, .. }
-        | Step::Regenerate { source, .. }
-        | Step::Divide { source, .. } => Some(source),
-        Step::MuxAdd { select, .. } | Step::WeightedMux { select, .. } => Some(select),
-        Step::Fused { steps } => {
-            for sub in steps {
-                count_shared(sub, seen, shared);
-            }
-            None
-        }
-        _ => None,
-    };
-    if let Some(spec) = spec {
-        if !seen.insert(spec) {
-            *shared += 1;
-        }
-    }
+    Ok(CompiledGraph {
+        template: Arc::new(PlanTemplate {
+            steps,
+            slot_count,
+            value_slots,
+            stream_slots,
+            report,
+            ops,
+            passes: options.passes,
+            class: next_plan_class(),
+        }),
+        sources: sources.into_boxed_slice(),
+    })
 }

@@ -2,7 +2,7 @@
 //! correlation-establishing manipulators.
 
 use super::{Ir, Pass};
-use crate::compile::{CompileReport, PlannerOptions, Step};
+use crate::compile::{CompileReport, PlannerOptions};
 use crate::node::{ManipulatorKind, Node, NodeOp, SccClass, Wire};
 use sc_telemetry::{Stage, TelemetrySink};
 
@@ -11,7 +11,7 @@ use sc_telemetry::{Stage, TelemetrySink};
 /// configured manipulator whose established class satisfies the requirement,
 /// placed either as a fresh circuit or by reusing an existing manipulator of
 /// the same kind over the same input pair — prices each through the
-/// `sc_hwcost` bridge ([`crate::cost::step_netlist`]), and applies the
+/// `sc_hwcost` bridge ([`crate::cost::manipulator_netlist`]), and applies the
 /// cheapest.
 ///
 /// Reuse is free (the hardware and the stream both already exist) and
@@ -161,15 +161,7 @@ fn choose_placement(
         }
     }
     for kind in legal {
-        let circuit = Step::Manipulate {
-            kinds: vec![kind],
-            x: 0,
-            y: 0,
-            dst_x: 0,
-            dst_y: 0,
-        };
-        let cost =
-            crate::cost::step_netlist(&circuit, crate::cost::DEFAULT_CONVERTER_BITS).area_um2();
+        let cost = crate::cost::manipulator_netlist(&kind).area_um2();
         consider(Placement::Fresh(kind), cost);
     }
     best.map_or(Placement::Fresh(baseline), |(placement, _)| placement)

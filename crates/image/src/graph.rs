@@ -265,6 +265,24 @@ mod tests {
         assert_eq!(plan.report().inserted.len(), 2 * t * t);
     }
 
+    /// The planner retargets a cached tile plan by matching the blur and edge
+    /// select seeds, which is unambiguous only if they never collide. Both
+    /// seeds depend on `tile_index mod 2^16` alone, so all 65,536 residues
+    /// cover every tile; the check also holds for the register states the
+    /// LFSR starts from (`Lfsr::new` maps seed 0 to 1).
+    #[test]
+    fn select_seeds_never_collide() {
+        let state = |seed: u64| if seed == 0 { 1 } else { seed };
+        for r in 0..1u64 << 16 {
+            let (blur, edge) = (blur_select_seed(r), edge_select_seed(r));
+            assert_eq!(blur, blur_select_seed(r + (0xABCD << 16)));
+            assert_eq!(edge, edge_select_seed(r + (0xABCD << 16)));
+            assert_ne!(state(blur), state(edge), "tile {r}");
+        }
+        assert_eq!(blur_select_seed(561), 0);
+        assert_eq!(edge_select_seed(34263), 0);
+    }
+
     #[test]
     fn regeneration_needs_no_repair() {
         let img = GrayImage::gradient(8, 8);

@@ -117,6 +117,8 @@ pub fn elaborate(
         slots[idx].expect("topological step order guarantees producers are lowered first")
     };
     let sink_counter_bits = counter_bits(stream_length as u64);
+    // Steps name their sample sources by index into the plan's source table.
+    let spec = |source: usize| plan.sources()[source].clone();
 
     // Span fusion is a scheduling construct, not a hardware one: a fused
     // span's sub-steps sit in dataflow order over the same dense slots, so
@@ -155,7 +157,7 @@ pub fn elaborate(
                 })?;
                 let out = design.cell(
                     CellKind::Source {
-                        spec: source.clone(),
+                        spec: spec(*source),
                         skip: *skip,
                         threshold: value,
                     },
@@ -171,7 +173,7 @@ pub fn elaborate(
             } => {
                 let out = design.cell(
                     CellKind::Source {
-                        spec: source.clone(),
+                        spec: spec(*source),
                         skip: *skip,
                         threshold: *probability,
                     },
@@ -209,8 +211,9 @@ pub fn elaborate(
             }
             Step::Regenerate { source, .. } => {
                 return Err(RtlError::Unsupported(format!(
-                    "regenerate({source}): S/D → D/S regeneration needs a full extra stream \
-                     period of latency and has no single-pass cycle-level equivalent"
+                    "regenerate({}): S/D → D/S regeneration needs a full extra stream \
+                     period of latency and has no single-pass cycle-level equivalent",
+                    spec(*source)
                 )));
             }
             Step::Not { src, dst } => {
@@ -250,7 +253,7 @@ pub fn elaborate(
                 let (nx, ny) = (slot(&slots, *x), slot(&slots, *y));
                 let out = design.cell(
                     CellKind::Divider {
-                        spec: source.clone(),
+                        spec: spec(*source),
                         skip: *skip,
                         counter_bits: *cb,
                     },
@@ -267,7 +270,7 @@ pub fn elaborate(
             } => {
                 let sel = design.cell(
                     CellKind::HalfSelect {
-                        spec: select.clone(),
+                        spec: spec(*select),
                         skip: *skip,
                     },
                     &[],
@@ -286,7 +289,7 @@ pub fn elaborate(
             } => {
                 let sels = design.cell(
                     CellKind::SelectOneHot {
-                        spec: select.clone(),
+                        spec: spec(*select),
                         skip: *skip,
                         weights: weights.clone(),
                     },

@@ -12,7 +12,10 @@ use sc_graph::{
     PassSet, PlannerOptions,
 };
 use sc_hwcost::{Netlist, Primitive};
-use sc_image::{planner_options, tile_graph, GrayImage, PipelineConfig, PipelineVariant};
+use sc_image::{
+    planner_options, tile_graph, tile_origins, GrayImage, PipelineConfig, PipelineStats,
+    PipelineVariant, TilePlanner,
+};
 use sc_rng::SourceSpec;
 use sc_rtl::{elaborate, sink_counter_bits, to_verilog, RtlError};
 use std::collections::BTreeMap;
@@ -439,6 +442,44 @@ fn gb_ed_pipeline_lowers_cosimulates_and_costs() {
 }
 
 #[test]
+fn retargeted_tile_plan_lowers_and_cosimulates_bit_identically() {
+    // The second tile of a class is a plan-cache hit: the planner retargets
+    // the cached template onto the tile's select seeds instead of compiling.
+    let img = GrayImage::from_fn(12, 12, |x, y| {
+        0.5 * GrayImage::gaussian_blob(12, 12).get(x, y) + 0.4 * (y as f64 / 12.0)
+    });
+    let config = PipelineConfig::quick();
+    let mut planner = TilePlanner::new(PipelineVariant::Synchronizer, config.clone());
+    let mut stats = PipelineStats::default();
+    let mut planned = Vec::new();
+    for (index, &(x0, y0)) in tile_origins(&img, config.tile_size).iter().enumerate() {
+        let compilations = stats.compilations;
+        let tile = planner.plan_tile(&img, x0, y0, index as u64, &mut stats);
+        let hit = stats.compilations == compilations;
+        planned.push(tile);
+        if hit {
+            break;
+        }
+    }
+    let tile = planned.pop().expect("the image has tiles");
+    let template = planned
+        .iter()
+        .find(|t| t.plan.plan_class() == tile.plan.plan_class())
+        .expect("a cache hit retargets an earlier tile's template");
+    assert_ne!(
+        template.plan.sources(),
+        tile.plan.sources(),
+        "the hit runs on its own select seeds"
+    );
+    assert_cosim_identical(
+        &tile.plan,
+        &tile.input,
+        config.stream_length,
+        "retargeted GB→ED tile",
+    );
+}
+
+#[test]
 fn cosim_optimized_gb_ed_tile_matches_every_pass_subset() {
     // Acceptance criterion for the pass pipeline: a CSE'd + span-fused
     // GB→ED tile plan stays bit-identical — executor output AND gate-level
@@ -474,7 +515,7 @@ fn cosim_optimized_gb_ed_tile_matches_every_pass_subset() {
         let report = plans[0].report();
         // Tile pixels never share whole interior subgraphs (every weighted
         // mux has distinct inputs), so the CSE pass's win on this graph is
-        // the shared-source audit the executor's source cache exploits.
+        // the shared-source audit: steps that index one source-table entry.
         assert!(
             report.shared_subgraphs + report.shared_sources > 0,
             "{variant:?}: tile compile should detect shared work"
